@@ -354,7 +354,7 @@ func runBench(jsonPath string, reps, evalN int, seed int64) error {
 	// Collect batching over the wire: the same preprocessing run against a
 	// local HTTP crowd server, once with the batched client (multi-object
 	// value batches, one round trip per attribute × stream) and once with
-	// the batching capability stripped (one round trip per value question).
+	// one question per exchange (one round trip per value question).
 	// The collect-phase wall-clock ratio is the batching headline; both
 	// modes are measured twice in ABBA order with the minimum kept, like
 	// the sweep above.

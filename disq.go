@@ -106,24 +106,25 @@ type (
 	// ValueQuestion is one (attribute, answer count) pair of an object's
 	// online evaluation; Plan.Questions enumerates them.
 	ValueQuestion = crowd.ValueQuestion
-	// ValueBatcher is the optional Platform extension for answering all of
-	// an object's value questions in one round trip; the online evaluator
-	// uses it automatically when present.
-	ValueBatcher = crowd.ValueBatcher
+	// ObjectValueQuestion is one question of a Platform.Values batch: the
+	// first N answers about an attribute of an object, optionally with
+	// the worker behind each answer.
+	ObjectValueQuestion = crowd.ObjectValueQuestion
+	// ValueAnswers answers one ObjectValueQuestion.
+	ValueAnswers = crowd.ValueAnswers
+	// PlatformStats counts a platform stack's wire round trips and fault
+	// handling (Platform.Stats).
+	PlatformStats = crowd.Stats
 )
 
 // NewBatchedPlatform adapts a platform's batching: size > 0 chunks value
-// batches to at most size questions, size < 0 disables batching entirely
-// (the unbatched control for benchmarks), size 0 returns p unchanged.
-// Answers are byte-identical in every mode.
+// batches to at most size questions, size < 0 sends one question per
+// exchange (the unbatched control for benchmarks), size 0 returns p
+// unchanged. Answers are byte-identical in every mode.
 func NewBatchedPlatform(p Platform, size int) Platform { return crowd.NewBatched(p, size) }
 
 // NewRecorder wraps a platform with answer recording.
 func NewRecorder(p Platform) *Recorder { return crowd.NewRecorder(p) }
-
-// DetailedAnswer is one worker answer with its worker identity (a
-// SimPlatform capability used by the quality layer).
-type DetailedAnswer = crowd.DetailedAnswer
 
 // Money denominations.
 const (

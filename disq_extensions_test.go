@@ -75,7 +75,7 @@ func TestFacadeRemotePlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Value(disq.RefObject(ex[0].Object.ID), "Calories", 2); err != nil {
+	if _, err := client.Values([]disq.ObjectValueQuestion{{Object: disq.RefObject(ex[0].Object.ID), Attr: "Calories", N: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	// nil http client works too.

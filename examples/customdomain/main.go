@@ -83,16 +83,11 @@ func main() {
 	// Quality audit: collect detailed answers and flag suspect workers.
 	var cells []quality.Cell
 	for _, car := range cars {
-		det, err := platform.ValueDetailed(car, "Price", 6)
+		det, err := platform.Values([]disq.ObjectValueQuestion{{Object: car, Attr: "Price", N: 6, Workers: true}})
 		if err != nil {
 			log.Fatal(err)
 		}
-		c := quality.Cell{}
-		for _, a := range det {
-			c.Values = append(c.Values, a.Value)
-			c.Workers = append(c.Workers, a.Worker)
-		}
-		cells = append(cells, c)
+		cells = append(cells, quality.Cell{Values: det[0].Values, Workers: det[0].Workers})
 	}
 	workers, err := quality.EstimateWorkers(cells, quality.Options{})
 	if err != nil {

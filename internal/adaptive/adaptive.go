@@ -8,10 +8,11 @@
 //     is stable within a tolerance scaled by the regression
 //     coefficients and the target's prior spread.
 //  2. Reliability weighting — when the platform reports worker
-//     identities (crowd.DetailedValuer), a calibration pass over pilot
+//     identities (crowd.ValueAnswers.Workers), a calibration pass over pilot
 //     objects estimates per-worker reliability (quality.EstimateWorkers)
 //     and the flat mean o.a^(n) becomes an inverse-variance weighted
-//     mean. Platforms without the capability degrade to the flat mean.
+//     mean. Platforms that cannot tell who answered degrade to the
+//     flat mean.
 //  3. Bandit reallocation — questions saved by early stopping fund
 //     extension rounds for the attributes whose contribution is still
 //     the most uncertain (greedy marginal-gain choice: the attribute
@@ -68,8 +69,8 @@ type Config struct {
 	Rounds int
 
 	// Weight enables reliability-weighted means. It needs a platform
-	// with the crowd.DetailedValuer capability and a Calibrate call;
-	// otherwise the evaluator silently keeps the flat mean.
+	// that reports worker identities and a Calibrate call; otherwise the
+	// evaluator silently keeps the flat mean.
 	Weight bool
 	// PilotObjects is how many leading objects the calibration pass asks
 	// at full budget to estimate worker reliability (default 12).
@@ -144,7 +145,7 @@ type Stats struct {
 	// PoolMills is the current undistributed savings pool balance.
 	PoolMills crowd.Cost
 	// CalibratedWorkers is how many workers the pilot pass scored
-	// (0 = flat mean, either by config or missing capability).
+	// (0 = flat mean, either by config or missing worker identities).
 	CalibratedWorkers int
 }
 
@@ -168,8 +169,7 @@ type Evaluator struct {
 	// score scale of the reallocation bandit.
 	sens []float64
 
-	weights map[int]float64      // worker → reliability (nil = flat mean)
-	detail  crowd.DetailedValuer // set iff weights != nil
+	weights map[int]float64 // worker → reliability (nil = flat mean)
 	// pilot holds the IDs of objects the calibration pass already asked
 	// at full b(a). Their answers are paid for whether or not Estimate
 	// consumes them, so stopping early on a pilot object saves no money —
@@ -265,16 +265,12 @@ func (e *Evaluator) sensitivity(attr string) float64 {
 // Estimate runs pilot objects at the full fixed budget and counts none
 // of their answers as savings (stopping early there would fund boosts
 // with money the fixed policy never had, breaking the spend bound).
-// Calibrate is a no-op when weighting is off; a platform without the
-// DetailedValuer capability (or a pilot too thin to score anyone)
+// Calibrate is a no-op when weighting is off; a platform whose worker
+// identities come back nil (or a pilot too thin to score anyone)
 // degrades to the flat mean rather than failing. Call it before any
 // concurrent Estimate calls.
 func (e *Evaluator) Calibrate(objs []*domain.Object) error {
 	if !e.cfg.Weight || len(objs) == 0 || len(e.attrs) == 0 {
-		return nil
-	}
-	dv, ok := e.p.(crowd.DetailedValuer)
-	if !ok {
 		return nil
 	}
 	// The pilot never takes more than half the evaluation set: pilot
@@ -288,27 +284,18 @@ func (e *Evaluator) Calibrate(objs []*domain.Object) error {
 	if n == 0 {
 		return nil
 	}
+	qs := make([]crowd.ObjectValueQuestion, len(e.attrs))
+	for i, a := range e.attrs {
+		qs[i] = crowd.ObjectValueQuestion{Attr: a, N: e.counts[i], Workers: true}
+	}
 	var cells []quality.Cell
 	for _, o := range objs[:n] {
-		for i, a := range e.attrs {
-			da, err := dv.ValueDetailed(o, a, e.counts[i])
-			if errors.Is(err, crowd.ErrNoWorkerDetail) {
-				return nil // wrapper over an identity-less platform
-			}
-			if err != nil {
-				return fmt.Errorf("adaptive: calibration pilot: %w", err)
-			}
-			if len(da) < 2 {
-				continue
-			}
-			c := quality.Cell{
-				Values:  make([]float64, len(da)),
-				Workers: make([]int, len(da)),
-			}
-			for j, d := range da {
-				c.Values[j], c.Workers[j] = d.Value, d.Worker
-			}
-			cells = append(cells, c)
+		for i := range qs {
+			qs[i].Object = o
+		}
+		answers, err := e.p.Values(qs)
+		if err != nil {
+			return fmt.Errorf("adaptive: calibration pilot: %w", err)
 		}
 		// The money for this object's full b(a) is spent now, whether or
 		// not the scoring below succeeds: mark it so Estimate never
@@ -317,6 +304,14 @@ func (e *Evaluator) Calibrate(objs []*domain.Object) error {
 			e.pilot = make(map[int]bool, n)
 		}
 		e.pilot[o.ID] = true
+		for _, ans := range answers {
+			if ans.Workers == nil {
+				return nil // the platform cannot tell who answered
+			}
+			if len(ans.Values) >= 2 {
+				cells = append(cells, quality.Cell{Values: ans.Values, Workers: ans.Workers})
+			}
+		}
 	}
 	if len(cells) == 0 {
 		return nil
@@ -329,7 +324,7 @@ func (e *Evaluator) Calibrate(objs []*domain.Object) error {
 	for w, s := range ws {
 		weights[w] = s.Weight
 	}
-	e.weights, e.detail = weights, dv
+	e.weights = weights
 	return nil
 }
 
@@ -390,14 +385,14 @@ func (e *Evaluator) Estimate(o *domain.Object) (map[string]float64, error) {
 // asked in increments the platform memoization makes charge-identical.
 func (e *Evaluator) basePhase(o *domain.Object, st []attrState, stopping bool) error {
 	for round := 0; ; round++ {
-		var qs []crowd.ValueQuestion
+		var qs []crowd.ObjectValueQuestion
 		var idxs []int
 		for i := range st {
 			if st[i].stable || st[i].asked >= e.counts[i] {
 				continue
 			}
 			to := e.roundTarget(round, st[i].asked, e.counts[i])
-			qs = append(qs, crowd.ValueQuestion{Attr: e.attrs[i], N: to})
+			qs = append(qs, crowd.ObjectValueQuestion{Object: o, Attr: e.attrs[i], N: to, Workers: e.weights != nil})
 			idxs = append(idxs, i)
 		}
 		if len(qs) == 0 {
@@ -407,7 +402,7 @@ func (e *Evaluator) basePhase(o *domain.Object, st []attrState, stopping bool) e
 		for _, i := range idxs {
 			before += st[i].asked
 		}
-		if err := e.fetch(o, st, qs, idxs); err != nil {
+		if err := e.fetch(st, qs, idxs); err != nil {
 			return err
 		}
 		after := 0
@@ -466,61 +461,39 @@ func RoundTarget(round, asked, cap, minAnswers, rounds int) int {
 	return to
 }
 
-// fetch grows each listed attribute's answers to qs[j].N, through the
-// platform's cheapest capable path: worker-detailed singles when
-// weighting is calibrated, one value batch otherwise, plain Value as the
-// fallback. Every path returns the memoized full prefix, so appending
-// the new suffix keeps values[0:n] byte-identical to one fixed-budget
-// Value(o, a, n) call.
-func (e *Evaluator) fetch(o *domain.Object, st []attrState, qs []crowd.ValueQuestion, idxs []int) error {
-	if e.weights != nil {
-		for j, q := range qs {
-			i := idxs[j]
-			da, err := e.detail.ValueDetailed(o, q.Attr, q.N)
-			if err != nil {
-				return fmt.Errorf("adaptive: value questions for %q: %w", q.Attr, err)
-			}
-			if len(da) < st[i].asked {
-				return fmt.Errorf("adaptive: platform shrank %q answers %d → %d", q.Attr, st[i].asked, len(da))
-			}
-			for _, d := range da[st[i].asked:] {
-				st[i].values = append(st[i].values, d.Value)
-				st[i].workers = append(st[i].workers, d.Worker)
-			}
-			e.asked.Add(int64(len(da) - st[i].asked))
-			st[i].asked = len(da)
-		}
-		return nil
+// fetch grows each listed attribute's answers to qs[j].N in one
+// exchange, with worker identities when weighting is calibrated. The
+// platform returns the memoized full prefix, so appending the new suffix
+// keeps values[0:n] byte-identical to one fixed-budget question for n
+// answers.
+func (e *Evaluator) fetch(st []attrState, qs []crowd.ObjectValueQuestion, idxs []int) error {
+	answers, err := e.p.Values(qs)
+	if err != nil {
+		return fmt.Errorf("adaptive: value questions: %w", err)
 	}
-	var answers [][]float64
-	if vb, ok := e.p.(crowd.ValueBatcher); ok && len(qs) > 1 {
-		ans, err := vb.ValueBatch(o, qs)
-		if err != nil {
-			return fmt.Errorf("adaptive: value questions: %w", err)
-		}
-		if len(ans) != len(qs) {
-			return fmt.Errorf("adaptive: value batch returned %d answer sets, want %d", len(ans), len(qs))
-		}
-		answers = ans
-	} else {
-		answers = make([][]float64, len(qs))
-		for j, q := range qs {
-			ans, err := e.p.Value(o, q.Attr, q.N)
-			if err != nil {
-				return fmt.Errorf("adaptive: value questions for %q: %w", q.Attr, err)
-			}
-			answers[j] = ans
-		}
+	if len(answers) != len(qs) {
+		return fmt.Errorf("adaptive: value batch returned %d answer sets, want %d", len(answers), len(qs))
 	}
 	for j, ans := range answers {
-		i := idxs[j]
-		if len(ans) < st[i].asked {
-			return fmt.Errorf("adaptive: platform shrank %q answers %d → %d", qs[j].Attr, st[i].asked, len(ans))
+		if err := e.grow(&st[idxs[j]], qs[j].Attr, ans); err != nil {
+			return err
 		}
-		st[i].values = append(st[i].values, ans[st[i].asked:]...)
-		e.asked.Add(int64(len(ans) - st[i].asked))
-		st[i].asked = len(ans)
 	}
+	return nil
+}
+
+// grow appends the unseen suffix of one attribute's cumulative answers
+// (and of their workers, when they flow) to its state.
+func (e *Evaluator) grow(s *attrState, attr string, ans crowd.ValueAnswers) error {
+	if len(ans.Values) < s.asked {
+		return fmt.Errorf("adaptive: platform shrank %q answers %d → %d", attr, s.asked, len(ans.Values))
+	}
+	s.values = append(s.values, ans.Values[s.asked:]...)
+	if e.weights != nil && len(ans.Workers) == len(ans.Values) {
+		s.workers = append(s.workers, ans.Workers[s.asked:]...)
+	}
+	e.asked.Add(int64(len(ans.Values) - s.asked))
+	s.asked = len(ans.Values)
 	return nil
 }
 
@@ -604,31 +577,12 @@ func (e *Evaluator) reallocate(o *domain.Object, st []attrState) {
 
 // boostFetch grows one attribute by chunk answers.
 func (e *Evaluator) boostFetch(o *domain.Object, s *attrState, i, chunk int) error {
-	to := s.asked + chunk
-	if e.weights != nil {
-		da, err := e.detail.ValueDetailed(o, e.attrs[i], to)
-		if err != nil {
-			return err
-		}
-		for _, d := range da[s.asked:] {
-			s.values = append(s.values, d.Value)
-			s.workers = append(s.workers, d.Worker)
-		}
-		e.asked.Add(int64(len(da) - s.asked))
-		s.asked = len(da)
-		return nil
-	}
-	ans, err := e.p.Value(o, e.attrs[i], to)
+	q := crowd.ObjectValueQuestion{Object: o, Attr: e.attrs[i], N: s.asked + chunk, Workers: e.weights != nil}
+	answers, err := e.p.Values([]crowd.ObjectValueQuestion{q})
 	if err != nil {
 		return err
 	}
-	if len(ans) < s.asked {
-		return fmt.Errorf("adaptive: platform shrank %q answers %d → %d", e.attrs[i], s.asked, len(ans))
-	}
-	s.values = append(s.values, ans[s.asked:]...)
-	e.asked.Add(int64(len(ans) - s.asked))
-	s.asked = len(ans)
-	return nil
+	return e.grow(s, q.Attr, answers[0])
 }
 
 // meanOf aggregates one attribute's answers: the reliability-weighted

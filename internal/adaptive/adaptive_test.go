@@ -125,9 +125,16 @@ func TestCalibrateScoresWorkersOnSim(t *testing.T) {
 	}
 }
 
-// noDetail hides every optional capability of the wrapped platform
-// (embedding the interface promotes only Platform's methods).
+// noDetail hides the worker identities of the wrapped platform.
 type noDetail struct{ crowd.Platform }
+
+func (p noDetail) Values(qs []crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
+	ans, err := p.Platform.Values(qs)
+	for i := range ans {
+		ans[i].Workers = nil
+	}
+	return ans, err
+}
 
 func TestCalibrateDegradesWithoutWorkerIdentities(t *testing.T) {
 	sim, plan, objs := evalEnv(t, 34, 16)
@@ -147,9 +154,8 @@ func TestCalibrateDegradesWithoutWorkerIdentities(t *testing.T) {
 }
 
 func TestCalibrateDegradesThroughWrapperSentinel(t *testing.T) {
-	// A retry wrapper over an identity-less platform DOES implement
-	// DetailedValuer statically; the sentinel error is what reports the
-	// missing capability at the bottom of the stack.
+	// A retry wrapper over an identity-less platform passes the nil
+	// worker identities up from the bottom of the stack.
 	sim, plan, objs := evalEnv(t, 35, 16)
 	p := crowd.NewRetry(noDetail{sim}, crowd.RetryOptions{})
 	ev, err := adaptive.New(p, plan, adaptive.Defaults())

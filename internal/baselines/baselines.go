@@ -129,7 +129,7 @@ func (e *naiveEvaluator) Estimate(p crowd.Platform, o *domain.Object) (map[strin
 			// remainder pass in practice).
 			n = 1
 		}
-		ans, err := p.Value(o, t, n)
+		ans, err := crowd.Value(p, o, t, n)
 		if err != nil {
 			return nil, err
 		}

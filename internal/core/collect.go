@@ -160,22 +160,20 @@ func (c *collector) addAttribute(attr string, pairs []string) error {
 
 // sampleOnStream asks the k value questions per example for one
 // (attribute × stream) as a single multi-object batch — one wire round
-// trip on platforms with a batching transport — falling back to the
-// sequential Value loop (bit-identically, per the batching contract)
-// when the platform has no MultiValueBatcher.
+// trip on platforms with a batching transport.
 func (c *collector) sampleOnStream(attr, target string) (*rawSamples, error) {
 	stream := c.streams[target][:c.n1]
 	qs := make([]crowd.ObjectValueQuestion, len(stream))
 	for i, e := range stream {
 		qs[i] = crowd.ObjectValueQuestion{Object: e.Object, Attr: attr, N: c.opts.K}
 	}
-	answers, err := crowd.MultiValueBatch(c.p, qs)
+	answers, err := c.p.Values(qs)
 	if err != nil {
 		return nil, fmt.Errorf("core: sampling %q on %q stream: %w", attr, target, err)
 	}
 	rs := newRawSamples(len(stream), c.opts.K)
 	for _, ans := range answers {
-		rs.appendExample(ans)
+		rs.appendExample(ans.Values)
 	}
 	return rs, nil
 }

@@ -97,10 +97,9 @@ func fingerprint(pl *Plan) planFingerprint {
 }
 
 // TestPreprocessBatchedMatchesUnbatched is the determinism contract of the
-// batched collect path on the simulator: a platform with the batching
-// capabilities and one with them stripped (crowd.NewBatched(p, -1) hides
-// ValueBatcher and MultiValueBatcher behind a plain Platform) must produce
-// byte-identical plans, statistics and spend.
+// batched collect path on the simulator: a platform answering whole
+// batches and one answering a question per exchange (crowd.NewBatched(p,
+// -1)) must produce byte-identical plans, statistics and spend.
 func TestPreprocessBatchedMatchesUnbatched(t *testing.T) {
 	const seed = 31
 	query := Query{Targets: []string{"Protein", "Calories"}}
@@ -258,11 +257,11 @@ func TestPreprocessBatchedUnderFaultsMatchesFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fs := faulty.FaultStats()
+	fs := faulty.Stats()
 	if fs.InjectedErrors == 0 || fs.InjectedShorts == 0 {
 		t.Fatalf("fault injection never fired: %+v", fs)
 	}
-	if retry.FaultStats().Retries == 0 {
+	if retry.Stats().Retries == 0 {
 		t.Fatal("retry layer never retried")
 	}
 	if !reflect.DeepEqual(fingerprint(gotPlan), fingerprint(refPlan)) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/crowd"
 	"repro/internal/domain"
@@ -115,7 +116,7 @@ func (pl *Plan) compiled() *compiledPlan {
 // asks per object — the statically known question set that makes online
 // evaluation batchable. The paper's b is uniform across objects, so the
 // set is object-independent; the returned slice is a copy the caller may
-// hand to crowd.ValueBatcher implementations as-is.
+// keep.
 func (pl *Plan) Questions() ([]crowd.ValueQuestion, error) {
 	cp := pl.compiled()
 	if cp.err != nil {
@@ -161,30 +162,31 @@ func (pl *Plan) PredictFromMeans(means []float64) (map[string]float64, error) {
 	return out, nil
 }
 
+// questionPool recycles collectMeans' per-object question batches: a
+// platform must not retain a batch, so the online hot path reuses them
+// instead of allocating one per object.
+var questionPool = sync.Pool{New: func() any { return new([]crowd.ObjectValueQuestion) }}
+
 // collectMeans fills means (len == len(cp.attrs)) with the per-attribute
-// answer averages for one object, preferring the platform's batching
-// capability — one exchange for the whole question set — and falling
-// back to the classic one-call-per-attribute loop.
+// answer averages for one object, asking the whole question set as one
+// exchange.
 func (cp *compiledPlan) collectMeans(p crowd.Platform, o *domain.Object, means []float64) error {
-	if vb, ok := p.(crowd.ValueBatcher); ok && len(cp.questions) > 1 {
-		answers, err := vb.ValueBatch(o, cp.questions)
-		if err != nil {
-			return fmt.Errorf("core: online value questions: %w", err)
-		}
-		if len(answers) != len(cp.questions) {
-			return fmt.Errorf("core: value batch returned %d answer sets, want %d", len(answers), len(cp.questions))
-		}
-		for i, ans := range answers {
-			means[i] = stats.Mean(ans)
-		}
-		return nil
+	buf := questionPool.Get().(*[]crowd.ObjectValueQuestion)
+	defer questionPool.Put(buf)
+	qs := (*buf)[:0]
+	for _, q := range cp.questions {
+		qs = append(qs, crowd.ObjectValueQuestion{Object: o, Attr: q.Attr, N: q.N})
 	}
-	for i, q := range cp.questions {
-		ans, err := p.Value(o, q.Attr, q.N)
-		if err != nil {
-			return fmt.Errorf("core: online value questions for %q: %w", q.Attr, err)
-		}
-		means[i] = stats.Mean(ans)
+	*buf = qs
+	answers, err := p.Values(qs)
+	if err != nil {
+		return fmt.Errorf("core: online value questions: %w", err)
+	}
+	if len(answers) != len(qs) {
+		return fmt.Errorf("core: value batch returned %d answer sets, want %d", len(answers), len(qs))
+	}
+	for i, ans := range answers {
+		means[i] = stats.Mean(ans.Values)
 	}
 	return nil
 }

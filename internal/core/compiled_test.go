@@ -104,31 +104,20 @@ func TestPlanMissingRegressionSurfaces(t *testing.T) {
 }
 
 // recordingBatcher counts how estimation reaches the platform, so the
-// tests below can pin which path (batched vs per-attribute) was taken.
+// tests below can pin that one exchange carries the whole question set.
 type recordingBatcher struct {
 	crowd.Platform
-	valueCalls int
 	batchCalls int
 	lastBatch  []crowd.ValueQuestion
 }
 
-func (r *recordingBatcher) Value(o *domain.Object, attr string, n int) ([]float64, error) {
-	r.valueCalls++
-	return r.Platform.Value(o, attr, n)
-}
-
-func (r *recordingBatcher) ValueBatch(o *domain.Object, qs []crowd.ValueQuestion) ([][]float64, error) {
+func (r *recordingBatcher) Values(qs []crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
 	r.batchCalls++
-	r.lastBatch = append([]crowd.ValueQuestion(nil), qs...)
-	out := make([][]float64, len(qs))
-	for i, q := range qs {
-		ans, err := r.Platform.Value(o, q.Attr, q.N)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ans
+	r.lastBatch = r.lastBatch[:0]
+	for _, q := range qs {
+		r.lastBatch = append(r.lastBatch, crowd.ValueQuestion{Attr: q.Attr, N: q.N})
 	}
-	return out, nil
+	return r.Platform.Values(qs)
 }
 
 func TestEstimateObjectPrefersBatcher(t *testing.T) {
@@ -149,15 +138,15 @@ func TestEstimateObjectPrefersBatcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.batchCalls != 1 || rec.valueCalls != 0 {
-		t.Fatalf("batcher platform saw %d batch / %d value calls, want 1/0", rec.batchCalls, rec.valueCalls)
+	if rec.batchCalls != 1 {
+		t.Fatalf("batcher platform saw %d exchanges, want 1", rec.batchCalls)
 	}
 	if !reflect.DeepEqual(rec.lastBatch, qs) {
 		t.Fatalf("batch asked %v, want the plan's question set %v", rec.lastBatch, qs)
 	}
 
-	// A platform without the capability takes the per-attribute path and
-	// must land on bit-identical estimates (answers are memoized).
+	// One question per exchange must land on bit-identical estimates
+	// (answers are memoized).
 	direct, err := plan.EstimateObject(crowd.NewBatched(p, -1), obj)
 	if err != nil {
 		t.Fatal(err)

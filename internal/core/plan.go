@@ -50,10 +50,9 @@ func (pl *Plan) PerObjectCost() crowd.Cost { return pl.Budget.Cost }
 // regression. The returned map has one estimate per target.
 //
 // The plan is lazily compiled to a flat form on first use (no map
-// iteration or lookup per call; see compiled.go), and when the platform
-// implements crowd.ValueBatcher the whole question set goes out as one
-// batch — over crowdhttp that is one round trip per object instead of
-// one per attribute. Estimates are bit-identical on every path.
+// iteration or lookup per call; see compiled.go), and the whole question
+// set goes out as one Values batch — over crowdhttp that is one round
+// trip per object instead of one per attribute.
 func (pl *Plan) EstimateObject(p crowd.Platform, o *domain.Object) (map[string]float64, error) {
 	if o == nil {
 		return nil, errors.New("core: nil object")

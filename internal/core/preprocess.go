@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/crowd"
-	"repro/internal/domain"
 	"repro/internal/sprt"
 	"repro/internal/stats"
 )
@@ -291,6 +290,16 @@ func trainingReserve(p crowd.Platform, col *collector, targets []string, bObj cr
 func trainRegressions(p crowd.Platform, col *collector, asg Assignment, targets []string, opts Options) (map[string]*Regression, map[string]int, error) {
 	support := asg.Support()
 	n2 := trainingSetSize(len(support))
+	// One training example's questions: every support attribute, asked
+	// as one exchange per example (one round trip instead of one per
+	// attribute). The example stays the batching unit — not the whole
+	// training set — so a budget exhaustion still degrades per example:
+	// the failing example contributes nothing, every earlier example
+	// stands.
+	qs := make([]crowd.ObjectValueQuestion, len(support))
+	for j, a := range support {
+		qs[j] = crowd.ObjectValueQuestion{Attr: a, N: asg.Counts[a]}
+	}
 	regs := make(map[string]*Regression, len(targets))
 	n2s := make(map[string]int, len(targets))
 	for _, t := range targets {
@@ -307,7 +316,10 @@ func trainRegressions(p crowd.Platform, col *collector, asg Assignment, targets 
 		var rows [][]float64
 		var ys []float64
 		for _, e := range ex {
-			answers, err := trainingRow(p, e.Object, support, asg.Counts)
+			for j := range qs {
+				qs[j].Object = e.Object
+			}
+			answers, err := p.Values(qs)
 			if errors.Is(err, crowd.ErrBudgetExhausted) {
 				break
 			}
@@ -316,7 +328,7 @@ func trainRegressions(p crowd.Platform, col *collector, asg Assignment, targets 
 			}
 			row := make([]float64, len(support))
 			for j := range support {
-				row[j] = stats.Mean(answers[j])
+				row[j] = stats.Mean(answers[j].Values)
 			}
 			rows = append(rows, row)
 			ys = append(ys, e.Values[t])
@@ -334,30 +346,4 @@ func trainRegressions(p crowd.Platform, col *collector, asg Assignment, targets 
 		n2s[t] = len(rows)
 	}
 	return regs, n2s, nil
-}
-
-// trainingRow collects one training example's answers for every support
-// attribute: a single ValueBatch exchange when the platform batches (one
-// round trip per example instead of one per attribute), the sequential
-// Value loop otherwise. The example stays the batching unit — not the
-// whole training set — so a budget exhaustion still degrades per example
-// exactly as before: the failing example contributes nothing, every
-// earlier example stands.
-func trainingRow(p crowd.Platform, o *domain.Object, support []string, counts map[string]int) ([][]float64, error) {
-	if vb, ok := p.(crowd.ValueBatcher); ok && len(support) > 1 {
-		qs := make([]crowd.ValueQuestion, len(support))
-		for j, a := range support {
-			qs[j] = crowd.ValueQuestion{Attr: a, N: counts[a]}
-		}
-		return vb.ValueBatch(o, qs)
-	}
-	out := make([][]float64, len(support))
-	for j, a := range support {
-		ans, err := p.Value(o, a, counts[a])
-		if err != nil {
-			return nil, err
-		}
-		out[j] = ans
-	}
-	return out, nil
 }

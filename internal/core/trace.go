@@ -65,8 +65,8 @@ type PhaseStats struct {
 	// Requests counts the wire round trips the phase performed —
 	// distinct from Questions, since a batched transport carries many
 	// questions per request. It is populated from the platform's
-	// crowd.RequestReporter capability (crowdhttp clients report HTTP
-	// attempts) and stays 0 on in-process platforms, which is what makes
+	// Stats().Requests (crowdhttp clients report HTTP attempts) and stays
+	// 0 on in-process platforms, which is what makes
 	// the batching win visible per phase: collect asks thousands of
 	// questions in ~|A| requests.
 	Requests int64 `json:"requests,omitempty"`
@@ -86,18 +86,14 @@ func (s PhaseStats) String() string {
 // locking) is enough.
 type phaseRecorder struct {
 	ledger *crowd.Ledger
-	// requests reads the platform's wire round-trip counter (nil when the
-	// platform reports none); per-phase request counts are deltas of it.
-	requests func() int64
-	stats    map[string]*PhaseStats
+	// p reports the wire round-trip counter; per-phase request counts
+	// are deltas of it.
+	p     crowd.Platform
+	stats map[string]*PhaseStats
 }
 
 func newPhaseRecorder(ledger *crowd.Ledger, p crowd.Platform) *phaseRecorder {
-	r := &phaseRecorder{ledger: ledger, stats: make(map[string]*PhaseStats)}
-	if rr, ok := p.(crowd.RequestReporter); ok {
-		r.requests = rr.RequestCount
-	}
-	return r
+	return &phaseRecorder{ledger: ledger, p: p, stats: make(map[string]*PhaseStats)}
 }
 
 // totalAsked sums the ledger's question counts over every kind.
@@ -116,11 +112,7 @@ func totalAsked(l *crowd.Ledger) int {
 // closure ends it, accumulating wall time and the ledger's question/cost
 // deltas. Call it exactly once, on every path out of the measured region.
 func (r *phaseRecorder) begin(phase string) func() {
-	spent0, asked0 := r.ledger.Spent(), totalAsked(r.ledger)
-	var req0 int64
-	if r.requests != nil {
-		req0 = r.requests()
-	}
+	spent0, asked0, req0 := r.ledger.Spent(), totalAsked(r.ledger), r.p.Stats().Requests
 	start := time.Now()
 	return func() {
 		st := r.stats[phase]
@@ -131,9 +123,7 @@ func (r *phaseRecorder) begin(phase string) func() {
 		st.Wall += time.Since(start)
 		st.Questions += totalAsked(r.ledger) - asked0
 		st.Cost += r.ledger.Spent() - spent0
-		if r.requests != nil {
-			st.Requests += r.requests() - req0
-		}
+		st.Requests += r.p.Stats().Requests - req0
 	}
 }
 

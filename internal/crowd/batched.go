@@ -1,173 +1,58 @@
 package crowd
 
-import (
-	"repro/internal/domain"
-)
-
 // NewBatched adapts a platform's batching behaviour without changing its
 // answers:
 //
-//   - size == 0 returns p unchanged (use whatever capability it has);
-//   - size < 0 hides any ValueBatcher capability, forcing callers onto
-//     the one-question-per-call path (the unbatched control in
-//     experiments and benchmarks);
-//   - size > 0 exposes a ValueBatcher that splits every batch into chunks
-//     of at most size questions, delegating each chunk to the inner
-//     platform's ValueBatcher when it has one and to sequential Value
-//     calls otherwise.
+//   - size == 0 returns p unchanged (one exchange per Values call);
+//   - size > 0 splits every Values call into exchanges of at most size
+//     questions;
+//   - size < 0 splits into exchanges of one question each (the unbatched
+//     control in experiments and benchmarks).
 //
-// Because Platform memoizes per question identity, all three shapes
-// produce byte-identical answers and charges — only the exchange
-// granularity differs. The experiment harness threads
-// PlatformConfig.BatchSize through here.
+// Because Platform memoizes per question identity, every shape produces
+// byte-identical answers and charges — only the exchange granularity
+// differs. The experiment harness threads PlatformConfig.BatchSize
+// through here.
 func NewBatched(p Platform, size int) Platform {
 	if size == 0 {
 		return p
 	}
 	if size < 0 {
-		return &unbatchedPlatform{p}
+		size = 1
 	}
 	return &batchedPlatform{Platform: p, size: size}
 }
 
-// unbatchedPlatform embeds a Platform in a concrete struct, so the
-// ValueBatcher capability of the wrapped platform is no longer visible
-// through type assertions on the wrapper.
-type unbatchedPlatform struct {
-	Platform
-}
-
-// FaultStats forwards the wrapped platform's fault counters (zero when it
-// reports none).
-func (u *unbatchedPlatform) FaultStats() FaultStats {
-	if fr, ok := u.Platform.(FaultReporter); ok {
-		return fr.FaultStats()
-	}
-	return FaultStats{}
-}
-
-// ValueDetailed forwards the wrapped platform's worker-identity
-// capability (batch-shape adaptation does not hide provenance).
-func (u *unbatchedPlatform) ValueDetailed(o *domain.Object, attr string, n int) ([]DetailedAnswer, error) {
-	if dv, ok := u.Platform.(DetailedValuer); ok {
-		return dv.ValueDetailed(o, attr, n)
-	}
-	return nil, ErrNoWorkerDetail
-}
-
-// RequestCount forwards the wrapped platform's wire round-trip counter:
-// the unbatched control still talks to the same transport, it just sends
-// one question per request.
-func (u *unbatchedPlatform) RequestCount() int64 {
-	if rr, ok := u.Platform.(RequestReporter); ok {
-		return rr.RequestCount()
-	}
-	return 0
-}
-
-// ForkPlatform implements Forker by rewrapping a fork of the wrapped
-// platform with the same capability mask; nil when it cannot fork.
-func (u *unbatchedPlatform) ForkPlatform() Platform {
-	fk, ok := u.Platform.(Forker)
-	if !ok {
-		return nil
-	}
-	inner := fk.ForkPlatform()
-	if inner == nil {
-		return nil
-	}
-	return &unbatchedPlatform{inner}
-}
-
-// batchedPlatform chunks ValueBatch calls to a maximum size.
+// batchedPlatform chunks Values calls to a maximum size.
 type batchedPlatform struct {
 	Platform
 	size int
 }
 
-// ValueBatch implements ValueBatcher with chunking.
-func (b *batchedPlatform) ValueBatch(o *domain.Object, qs []ValueQuestion) ([][]float64, error) {
-	out := make([][]float64, 0, len(qs))
-	inner, hasBatch := b.Platform.(ValueBatcher)
-	for start := 0; start < len(qs); start += b.size {
-		end := start + b.size
-		if end > len(qs) {
-			end = len(qs)
-		}
-		chunk := qs[start:end]
-		if hasBatch {
-			ans, err := inner.ValueBatch(o, chunk)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ans...)
-			continue
-		}
-		for _, q := range chunk {
-			ans, err := b.Platform.Value(o, q.Attr, q.N)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ans)
-		}
+// Values implements Platform with chunking.
+func (b *batchedPlatform) Values(qs []ObjectValueQuestion) ([]ValueAnswers, error) {
+	if len(qs) <= b.size {
+		return b.Platform.Values(qs)
 	}
-	return out, nil
-}
-
-// ValueBatchMulti implements MultiValueBatcher with the same chunking as
-// ValueBatch; each chunk delegates through MultiValueBatch, so the inner
-// platform's capability (or its absence) decides the final exchange
-// shape.
-func (b *batchedPlatform) ValueBatchMulti(qs []ObjectValueQuestion) ([][]float64, error) {
-	out := make([][]float64, 0, len(qs))
+	out := make([]ValueAnswers, 0, len(qs))
 	for start := 0; start < len(qs); start += b.size {
 		end := start + b.size
 		if end > len(qs) {
 			end = len(qs)
 		}
-		res, err := MultiValueBatch(b.Platform, qs[start:end])
+		ans, err := b.Platform.Values(qs[start:end])
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, res...)
+		out = append(out, ans...)
 	}
 	return out, nil
 }
 
-// ValueDetailed forwards the wrapped platform's worker-identity
-// capability (chunking applies to batches, not single questions).
-func (b *batchedPlatform) ValueDetailed(o *domain.Object, attr string, n int) ([]DetailedAnswer, error) {
-	if dv, ok := b.Platform.(DetailedValuer); ok {
-		return dv.ValueDetailed(o, attr, n)
-	}
-	return nil, ErrNoWorkerDetail
-}
-
-// RequestCount forwards the wrapped platform's wire round-trip counter.
-func (b *batchedPlatform) RequestCount() int64 {
-	if rr, ok := b.Platform.(RequestReporter); ok {
-		return rr.RequestCount()
-	}
-	return 0
-}
-
-// FaultStats forwards the wrapped platform's fault counters (zero when it
-// reports none).
-func (b *batchedPlatform) FaultStats() FaultStats {
-	if fr, ok := b.Platform.(FaultReporter); ok {
-		return fr.FaultStats()
-	}
-	return FaultStats{}
-}
-
-// ForkPlatform implements Forker by rewrapping a fork of the wrapped
+// ForkPlatform implements Platform by rewrapping a fork of the wrapped
 // platform with the same chunk size; nil when it cannot fork.
 func (b *batchedPlatform) ForkPlatform() Platform {
-	fk, ok := b.Platform.(Forker)
-	if !ok {
-		return nil
-	}
-	inner := fk.ForkPlatform()
+	inner := b.Platform.ForkPlatform()
 	if inner == nil {
 		return nil
 	}

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/domain"
 )
 
 // ErrTransient marks a transient platform failure: the question did not
@@ -18,27 +16,30 @@ import (
 var ErrTransient = errors.New("crowd: transient platform failure")
 
 // FaultyOptions configures deterministic, seeded fault injection. All
-// injection decisions derive from the seed and a per-question counter, so
-// a given option set produces the same fault schedule on every run.
+// injection decisions derive from the seed and a per-exchange counter, so
+// a given option set produces the same fault schedule on every run. An
+// exchange is one call of a charged question method: a Values batch of
+// any size, or one Dismantle, Verify or Examples call.
 type FaultyOptions struct {
 	// Seed drives the injection schedule (independent of the platform
 	// seed, so faults never perturb the simulated answers).
 	Seed int64
-	// FailRate is the probability a question fails transiently *before*
+	// FailRate is the probability an exchange fails transiently *before*
 	// executing: the wrapped platform is never consulted, so no stream
 	// cursor advances and nothing is charged — a retry observes exactly
 	// the state the failed attempt saw.
 	FailRate float64
-	// FailAfter, when > 0, makes every question after the first N fail
+	// FailAfter, when > 0, makes every exchange after the first N fail
 	// transiently — the "platform went down mid-run" shape, for driving
 	// retry budgets to exhaustion.
 	FailAfter int
-	// ShortRate is the probability a Value/Examples batch is truncated to
-	// a strict prefix. The wrapped call executes fully (real platforms
+	// ShortRate is the probability an exchange's answers come back
+	// short: one Values item, or an Examples stream, is truncated to a
+	// strict prefix. The wrapped call executes fully (real platforms
 	// return partially completed batches after collecting answers), so a
 	// re-ask is cheap: cached answers are never regenerated or recharged.
 	ShortRate float64
-	// Latency delays every question; LatencyJitter adds a seeded random
+	// Latency delays every exchange; LatencyJitter adds a seeded random
 	// extra on top.
 	Latency       time.Duration
 	LatencyJitter time.Duration
@@ -48,11 +49,12 @@ type FaultyOptions struct {
 // layers that handle them (FaultyPlatform injects; RetryPlatform and
 // crowdhttp.Client retry).
 type FaultStats struct {
-	// Questions is how many questions reached a fault-injecting layer.
+	// Questions is how many exchanges reached a fault-injecting layer
+	// (HTTP attempts for crowdhttp.Client).
 	Questions int64
 	// InjectedErrors counts transient errors injected.
 	InjectedErrors int64
-	// InjectedShorts counts truncated Value/Examples batches returned.
+	// InjectedShorts counts truncated Values/Examples answers returned.
 	InjectedShorts int64
 	// Retries counts re-asks performed by a retrying layer.
 	Retries int64
@@ -66,14 +68,8 @@ func (s *FaultStats) Merge(o FaultStats) {
 	s.Retries += o.Retries
 }
 
-// FaultReporter is implemented by platform layers that count faults; the
-// experiment harness collects these counters into its run reports.
-type FaultReporter interface {
-	FaultStats() FaultStats
-}
-
-// faultRand derives an independent generator from the fault seed and a
-// question index, mirroring the simulator's per-question derivation.
+// faultRand derives an independent generator from the fault seed and an
+// exchange index, mirroring the simulator's per-question derivation.
 func faultRand(seed, idx int64) *rand.Rand {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "fault|%d|%d", seed, idx)
@@ -82,9 +78,11 @@ func faultRand(seed, idx int64) *rand.Rand {
 
 // FaultyPlatform wraps any Platform and injects transient errors, latency
 // and short batches into the four charged question types (metadata
-// lookups pass through untouched). Injection is pre-execution for errors:
-// a failed question leaves the wrapped platform exactly as it was, which
-// is what makes a fault-injected run converge to the same answers as a
+// lookups pass through untouched). The schedule runs once per exchange:
+// a Values batch is one exchange whatever its size, so it draws one
+// latency and one fault decision, like one request to a real platform.
+// Injection is pre-execution for errors: a failed exchange leaves the
+// wrapped platform exactly as it was, which is what makes a fault-injected run converge to the same answers as a
 // fault-free run once a retry layer sits on top.
 type FaultyPlatform struct {
 	inner Platform
@@ -100,23 +98,21 @@ func NewFaulty(inner Platform, opts FaultyOptions) *FaultyPlatform {
 	return &FaultyPlatform{inner: inner, opts: opts}
 }
 
-// FaultStats implements FaultReporter, including the wrapped platform's
-// counters when it reports any.
-func (f *FaultyPlatform) FaultStats() FaultStats {
-	s := FaultStats{
+// Stats implements Platform, adding this layer's fault counters to the
+// wrapped platform's.
+func (f *FaultyPlatform) Stats() Stats {
+	s := f.inner.Stats()
+	s.Merge(FaultStats{
 		Questions:      f.calls.Load(),
 		InjectedErrors: f.injectedErr.Load(),
 		InjectedShorts: f.injectedShort.Load(),
-	}
-	if fr, ok := f.inner.(FaultReporter); ok {
-		s.Merge(fr.FaultStats())
-	}
+	})
 	return s
 }
 
-// begin runs the per-question fault schedule: latency, then the
+// begin runs the per-exchange fault schedule: latency, then the
 // pre-execution failure decision. The returned generator carries the
-// question's remaining injection randomness (short batches).
+// exchange's remaining injection randomness (short batches).
 func (f *FaultyPlatform) begin() (*rand.Rand, error) {
 	idx := f.calls.Add(1)
 	r := faultRand(f.opts.Seed, idx)
@@ -128,79 +124,42 @@ func (f *FaultyPlatform) begin() (*rand.Rand, error) {
 	}
 	if f.opts.FailAfter > 0 && idx > int64(f.opts.FailAfter) {
 		f.injectedErr.Add(1)
-		return nil, fmt.Errorf("%w: injected (question %d past fail-after %d)", ErrTransient, idx, f.opts.FailAfter)
+		return nil, fmt.Errorf("%w: injected (exchange %d past fail-after %d)", ErrTransient, idx, f.opts.FailAfter)
 	}
 	if f.opts.FailRate > 0 && r.Float64() < f.opts.FailRate {
 		f.injectedErr.Add(1)
-		return nil, fmt.Errorf("%w: injected (question %d)", ErrTransient, idx)
+		return nil, fmt.Errorf("%w: injected (exchange %d)", ErrTransient, idx)
 	}
 	return r, nil
 }
 
-// Value implements Platform with injected faults; short batches return a
-// strict prefix of the real answers.
-func (f *FaultyPlatform) Value(o *domain.Object, attr string, n int) ([]float64, error) {
-	r, err := f.begin()
-	if err != nil {
-		return nil, err
-	}
-	ans, err := f.inner.Value(o, attr, n)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 && f.opts.ShortRate > 0 && r.Float64() < f.opts.ShortRate {
-		f.injectedShort.Add(1)
-		return ans[:r.Intn(n)], nil
-	}
-	return ans, nil
-}
-
-// ValueDetailed implements DetailedValuer with the same fault schedule
-// as Value (detailed answers are one exchange too); short batches return
-// a strict prefix. A wrapped platform without the capability surfaces
-// ErrNoWorkerDetail without consuming a fault slot — capability probing
-// must not perturb the seeded injection schedule.
-func (f *FaultyPlatform) ValueDetailed(o *domain.Object, attr string, n int) ([]DetailedAnswer, error) {
-	dv, ok := f.inner.(DetailedValuer)
-	if !ok {
-		return nil, ErrNoWorkerDetail
+// Values implements Platform: the batch is one exchange, so it runs the
+// fault schedule once — a pre-execution failure rejects the whole batch
+// before the wrapped platform sees it (nothing charged, nothing
+// advanced), and a short injection truncates one item's answers, the
+// per-item partial completion a real platform returns. An empty batch
+// asks nothing, so it is no exchange.
+func (f *FaultyPlatform) Values(qs []ObjectValueQuestion) ([]ValueAnswers, error) {
+	if len(qs) == 0 {
+		return f.inner.Values(qs)
 	}
 	r, err := f.begin()
 	if err != nil {
 		return nil, err
 	}
-	ans, err := dv.ValueDetailed(o, attr, n)
+	out, err := f.inner.Values(qs)
 	if err != nil {
 		return nil, err
 	}
-	if n > 0 && f.opts.ShortRate > 0 && r.Float64() < f.opts.ShortRate {
-		f.injectedShort.Add(1)
-		return ans[:r.Intn(n)], nil
-	}
-	return ans, nil
-}
-
-// ValueBatchMulti implements MultiValueBatcher: the batch is one
-// exchange, so it runs the fault schedule once — a pre-execution failure
-// rejects the whole batch before the wrapped platform sees it (nothing
-// charged, nothing advanced), and a short injection truncates one item's
-// answers, the per-item partial completion a real platform returns. The
-// wrapped platform answers through its own batching capability when it
-// has one.
-func (f *FaultyPlatform) ValueBatchMulti(qs []ObjectValueQuestion) ([][]float64, error) {
-	r, err := f.begin()
-	if err != nil {
-		return nil, err
-	}
-	out, err := MultiValueBatch(f.inner, qs)
-	if err != nil {
-		return nil, err
-	}
-	if len(qs) > 0 && f.opts.ShortRate > 0 && r.Float64() < f.opts.ShortRate {
-		i := r.Intn(len(qs))
-		if n := len(out[i]); n > 0 {
+	if f.opts.ShortRate > 0 && r.Float64() < f.opts.ShortRate {
+		a := &out[r.Intn(len(qs))]
+		if n := len(a.Values); n > 0 {
 			f.injectedShort.Add(1)
-			out[i] = out[i][:r.Intn(n)]
+			k := r.Intn(n)
+			a.Values = a.Values[:k]
+			if a.Workers != nil {
+				a.Workers = a.Workers[:k]
+			}
 		}
 	}
 	return out, nil
@@ -240,27 +199,14 @@ func (f *FaultyPlatform) Examples(targets []string, n int) ([]Example, error) {
 	return ex, nil
 }
 
-// RequestCount forwards the wrapped platform's wire round-trip counter
-// (fault injection itself performs no wire traffic).
-func (f *FaultyPlatform) RequestCount() int64 {
-	if rr, ok := f.inner.(RequestReporter); ok {
-		return rr.RequestCount()
-	}
-	return 0
-}
-
-// ForkPlatform implements Forker by rewrapping a fork of the inner
+// ForkPlatform implements Platform by rewrapping a fork of the inner
 // platform with the same fault options. The fork's fault schedule
-// restarts from question zero (its counter is private), which preserves
+// restarts from exchange zero (its counter is private), which preserves
 // the latency model exactly and keeps each forked session's injection
 // schedule deterministic in isolation; nil when the inner platform
 // cannot fork.
 func (f *FaultyPlatform) ForkPlatform() Platform {
-	fk, ok := f.inner.(Forker)
-	if !ok {
-		return nil
-	}
-	inner := fk.ForkPlatform()
+	inner := f.inner.ForkPlatform()
 	if inner == nil {
 		return nil
 	}
@@ -309,7 +255,7 @@ func (o RetryOptions) withDefaults() RetryOptions {
 	return o
 }
 
-// RetryPlatform wraps a Platform and retries questions that fail with
+// RetryPlatform wraps a Platform and retries exchanges that fail with
 // ErrTransient (or come back as short batches) with exponential backoff —
 // the in-process counterpart of the crowdhttp client's retrying
 // transport, used to run the experiment harness over a FaultyPlatform.
@@ -325,17 +271,15 @@ func NewRetry(inner Platform, opts RetryOptions) *RetryPlatform {
 	return &RetryPlatform{inner: inner, opts: opts.withDefaults()}
 }
 
-// FaultStats implements FaultReporter, including the wrapped platform's
-// counters.
-func (p *RetryPlatform) FaultStats() FaultStats {
-	s := FaultStats{Retries: p.retries.Load()}
-	if fr, ok := p.inner.(FaultReporter); ok {
-		s.Merge(fr.FaultStats())
-	}
+// Stats implements Platform, adding this layer's retries to the wrapped
+// platform's counters.
+func (p *RetryPlatform) Stats() Stats {
+	s := p.inner.Stats()
+	s.Merge(FaultStats{Retries: p.retries.Load()})
 	return s
 }
 
-// do runs one question, re-asking on ErrTransient until the retry budget
+// do runs one exchange, re-asking on ErrTransient until the retry budget
 // is exhausted. Non-transient errors (budget, unknown attribute) are
 // terminal immediately.
 func (p *RetryPlatform) do(call func() error) error {
@@ -356,74 +300,19 @@ func (p *RetryPlatform) do(call func() error) error {
 	return fmt.Errorf("crowd: retry budget (%d) exhausted: %w", p.opts.MaxRetries, err)
 }
 
-// Value implements Platform; short batches are treated as transient and
-// re-asked (answer caching in the wrapped platform makes that free).
-func (p *RetryPlatform) Value(o *domain.Object, attr string, n int) ([]float64, error) {
-	var out []float64
+// Values implements Platform; a transient failure or a short item
+// re-asks the whole batch (answer memoization in the wrapped platform
+// makes the replay free — only the faulted item actually re-executes).
+func (p *RetryPlatform) Values(qs []ObjectValueQuestion) ([]ValueAnswers, error) {
+	var out []ValueAnswers
 	err := p.do(func() error {
-		ans, err := p.inner.Value(o, attr, n)
-		if err != nil {
-			return err
-		}
-		if len(ans) < n {
-			return fmt.Errorf("%w: short value batch %d/%d", ErrTransient, len(ans), n)
-		}
-		out = ans
-		return nil
-	})
-	return out, err
-}
-
-// ValueDetailed implements DetailedValuer; short batches are treated as
-// transient and re-asked, mirroring Value. ErrNoWorkerDetail is terminal
-// (retrying cannot grow a capability).
-func (p *RetryPlatform) ValueDetailed(o *domain.Object, attr string, n int) ([]DetailedAnswer, error) {
-	dv, ok := p.inner.(DetailedValuer)
-	if !ok {
-		return nil, ErrNoWorkerDetail
-	}
-	var out []DetailedAnswer
-	err := p.do(func() error {
-		ans, err := dv.ValueDetailed(o, attr, n)
-		if err != nil {
-			return err
-		}
-		if len(ans) < n {
-			return fmt.Errorf("%w: short detailed batch %d/%d", ErrTransient, len(ans), n)
-		}
-		out = ans
-		return nil
-	})
-	return out, err
-}
-
-// ValueBatchMulti implements MultiValueBatcher; a transient failure or a
-// short item re-asks the whole batch (answer memoization in the wrapped
-// platform makes the replay free — only the faulted item actually
-// re-executes). Without an inner batching capability it degrades to
-// per-question retried Value calls, which is the same recovery at finer
-// granularity.
-func (p *RetryPlatform) ValueBatchMulti(qs []ObjectValueQuestion) ([][]float64, error) {
-	if _, ok := p.inner.(MultiValueBatcher); !ok {
-		out := make([][]float64, len(qs))
-		for i, q := range qs {
-			ans, err := p.Value(q.Object, q.Attr, q.N)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = ans
-		}
-		return out, nil
-	}
-	var out [][]float64
-	err := p.do(func() error {
-		res, err := MultiValueBatch(p.inner, qs)
+		res, err := p.inner.Values(qs)
 		if err != nil {
 			return err
 		}
 		for i, q := range qs {
-			if len(res[i]) < q.N {
-				return fmt.Errorf("%w: short value batch %d/%d (item %d)", ErrTransient, len(res[i]), q.N, i)
+			if len(res[i].Values) < q.N {
+				return fmt.Errorf("%w: short value batch %d/%d (item %d)", ErrTransient, len(res[i].Values), q.N, i)
 			}
 		}
 		out = res
@@ -471,23 +360,11 @@ func (p *RetryPlatform) Examples(targets []string, n int) ([]Example, error) {
 	return out, err
 }
 
-// RequestCount forwards the wrapped platform's wire round-trip counter.
-func (p *RetryPlatform) RequestCount() int64 {
-	if rr, ok := p.inner.(RequestReporter); ok {
-		return rr.RequestCount()
-	}
-	return 0
-}
-
-// ForkPlatform implements Forker by rewrapping a fork of the inner
+// ForkPlatform implements Platform by rewrapping a fork of the inner
 // platform with the same retry policy (the fork gets its own retry
 // counter); nil when the inner platform cannot fork.
 func (p *RetryPlatform) ForkPlatform() Platform {
-	fk, ok := p.inner.(Forker)
-	if !ok {
-		return nil
-	}
-	inner := fk.ForkPlatform()
+	inner := p.inner.ForkPlatform()
 	if inner == nil {
 		return nil
 	}

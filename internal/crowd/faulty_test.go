@@ -30,7 +30,7 @@ func runFaultScenario(t *testing.T, p Platform) ([]float64, string) {
 	}
 	var nums []float64
 	for _, e := range ex {
-		ans, err := p.Value(e.Object, "Calories", 3)
+		ans, err := Value(p, e.Object, "Calories", 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestFaultyRetryConvergesToFaultFree(t *testing.T) {
 	if got, want := sim.Ledger().Spent(), clean.Ledger().Spent(); got != want {
 		t.Fatalf("fault-injected run spent %v, fault-free %v", got, want)
 	}
-	st := flaky.FaultStats()
+	st := flaky.Stats()
 	if st.Questions == 0 || st.InjectedErrors == 0 || st.InjectedShorts == 0 || st.Retries == 0 {
 		t.Fatalf("fault counters not populated: %+v", st)
 	}
@@ -145,7 +145,7 @@ func TestFaultyFailAfterExhaustsRetries(t *testing.T) {
 	if sim.Ledger().Spent() != spent {
 		t.Fatal("failed question changed the ledger")
 	}
-	if st := f.FaultStats(); st.Retries != 2 {
+	if st := f.Stats(); st.Retries != 2 {
 		t.Fatalf("retries = %d, want the full budget of 2", st.Retries)
 	}
 }
@@ -158,7 +158,7 @@ func TestRetryPassesTerminalErrorsThrough(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("expected budget error, got %v", err)
 	}
-	if st := f.FaultStats(); st.Retries != 0 {
+	if st := f.Stats(); st.Retries != 0 {
 		t.Fatalf("terminal error was retried %d times", st.Retries)
 	}
 }

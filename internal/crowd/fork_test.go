@@ -21,7 +21,7 @@ func transcript(t *testing.T, p Platform, u *domain.Universe, objs []*domain.Obj
 	attrs := u.Attributes()[:3]
 	for _, o := range objs {
 		for _, a := range attrs {
-			vals, err := p.Value(o, a, 3)
+			vals, err := Value(p, o, a, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func transcript(t *testing.T, p Platform, u *domain.Universe, objs []*domain.Obj
 			math.Float64bits(ex.Values[attrs[0]]), math.Float64bits(ex.Values[attrs[1]]))
 		// Value questions about simulator-created example objects exercise
 		// the provenance-keyed answer pools.
-		vals, err := p.Value(ex.Object, attrs[2], 2)
+		vals, err := Value(p, ex.Object, attrs[2], 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,12 +7,13 @@ import (
 	"repro/internal/domain"
 )
 
-// noFork hides the concrete platform behind a bare Platform embed, so
-// the wrapper under test sees an inner platform without the Forker
-// capability.
+// noFork wraps a platform that cannot fork, so the wrapper under test
+// sees an unforkable inner platform.
 type noFork struct{ Platform }
 
-// TestForkPlatformRewrapsWrappers pins the Forker capability the sharded
+func (noFork) ForkPlatform() Platform { return nil }
+
+// TestForkPlatformRewrapsWrappers pins the ForkPlatform method the sharded
 // serving tier keys on: every platform wrapper forks by rewrapping a
 // fork of its inner platform, the fork answers questions on a fresh
 // ledger (nothing bills the parent), and wrapping an unforkable platform
@@ -44,21 +45,17 @@ func TestForkPlatformRewrapsWrappers(t *testing.T) {
 	for _, w := range wrappers {
 		t.Run(w.name, func(t *testing.T) {
 			parent := w.wrap(newSim())
-			fk, ok := parent.(Forker)
-			if !ok {
-				t.Fatalf("%T lost the Forker capability", parent)
-			}
-			f1, f2 := fk.ForkPlatform(), fk.ForkPlatform()
+			f1, f2 := parent.ForkPlatform(), parent.ForkPlatform()
 			if f1 == nil || f2 == nil {
 				t.Fatalf("%T fork over a forkable inner returned nil", parent)
 			}
 			// Sibling forks answer from the same memoized streams,
 			// cursor zero each: bit-equal answers, independent ledgers.
-			v1, err := f1.Value(objs[0], attr, 2)
+			v1, err := Value(f1, objs[0], attr, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2, err := f2.Value(objs[0], attr, 2)
+			v2, err := Value(f2, objs[0], attr, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,11 +76,7 @@ func TestForkPlatformRewrapsWrappers(t *testing.T) {
 				return
 			}
 			blocked := w.wrap(noFork{newSim()})
-			fk, ok = blocked.(Forker)
-			if !ok {
-				t.Fatalf("%T does not implement Forker", blocked)
-			}
-			if f := fk.ForkPlatform(); f != nil {
+			if f := blocked.ForkPlatform(); f != nil {
 				t.Fatalf("%T forked over an unforkable inner: %T", blocked, f)
 			}
 		})

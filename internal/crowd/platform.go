@@ -1,8 +1,6 @@
 package crowd
 
 import (
-	"errors"
-
 	"repro/internal/domain"
 )
 
@@ -27,9 +25,17 @@ type Example struct {
 // asking only b(a)−k additional value questions, and reusing recorded
 // answers across algorithm comparisons).
 type Platform interface {
-	// Value returns the first n single-worker answers for o.attr,
-	// generating (and charging for) only the ones not yet asked.
-	Value(o *domain.Object, attr string, n int) ([]float64, error)
+	// Values answers value questions in one exchange: answers[i] holds
+	// the first qs[i].N single-worker answers about qs[i].Attr on
+	// qs[i].Object, and the platform generates (and charges for) only the
+	// ones not yet asked. Each question is memoized independently, so a
+	// batch is answer-wise indistinguishable from len(qs) batches of one —
+	// same answers, same charges (including partial charges when the
+	// budget runs out mid-batch) — and only the exchange granularity
+	// differs. Workers is filled only for questions that ask for it, and
+	// stays nil when the platform cannot tell who answered. Implementations
+	// must not retain qs.
+	Values(qs []ObjectValueQuestion) ([]ValueAnswers, error)
 
 	// Dismantle asks one dismantling question about attr and returns the
 	// (possibly non-canonical) attribute name a worker replied with.
@@ -68,88 +74,63 @@ type Platform interface {
 	// SetLedger swaps the active ledger (e.g. between the preprocessing
 	// and online phases) and returns the previous one. Caches survive.
 	SetLedger(l *Ledger) *Ledger
+
+	// ForkPlatform returns an independent copy-on-write view of the
+	// platform — fresh ledger, no questions asked, shared memoized answer
+	// pools — or nil when the platform cannot fork. Wrappers fork the
+	// platform they wrap and rewrap the result, so a latency-modeled or
+	// retrying stack forks as a whole; callers that get nil (the serving
+	// tier) fall back to mutex-serialized sessions.
+	ForkPlatform() Platform
+
+	// Stats reports the wire round trips and fault counters of the whole
+	// platform stack; wrappers add their own counters to the wrapped
+	// platform's.
+	Stats() Stats
 }
 
-// ValueQuestion names one value question of a batch: the first N answers
-// about Attr. The per-question memoization contract of Platform.Value
-// applies to each entry independently.
+// ValueQuestion names one value question about an object left implicit:
+// the first N answers about Attr. core.Plan.Questions enumerates an
+// object's online questions in this form.
 type ValueQuestion struct {
 	Attr string
 	N    int
 }
 
-// ValueBatcher is the optional batching capability of a Platform:
-// answering many value questions about one object in a single exchange.
-// Answers[i] corresponds to qs[i]. Implementations must be answer-wise
-// indistinguishable from len(qs) sequential Value calls — same
-// memoization, same charging, same answers — so callers may use whichever
-// path is cheaper. The plan evaluator prefers it when present, which is
-// what collapses a remote object evaluation into one round trip.
-type ValueBatcher interface {
-	ValueBatch(o *domain.Object, qs []ValueQuestion) ([][]float64, error)
-}
-
-// ObjectValueQuestion names one value question of a multi-object batch:
-// the first N answers about Attr on Object.
+// ObjectValueQuestion names one value question of a batch: the first N
+// answers about Attr on Object. Workers asks for the worker behind each
+// answer (quality-weighted aggregation needs it; the DisQ algorithm
+// itself never does).
 type ObjectValueQuestion struct {
-	Object *domain.Object
-	Attr   string
-	N      int
+	Object  *domain.Object
+	Attr    string
+	N       int
+	Workers bool
 }
 
-// MultiValueBatcher is the optional capability of answering value
-// questions that span many objects in one exchange — the shape of
-// statistics collection, where one attribute is sampled across a whole
-// example stream. The ValueBatcher contract applies unchanged: answers[i]
-// corresponds to qs[i], and the batch must be answer-wise
-// indistinguishable from len(qs) sequential Value calls (same
-// memoization, same charging, same answers). Callers should go through
-// MultiValueBatch, which falls back to sequential Value calls when the
-// platform lacks the capability.
-type MultiValueBatcher interface {
-	ValueBatchMulti(qs []ObjectValueQuestion) ([][]float64, error)
+// ValueAnswers answers one ObjectValueQuestion. Workers[i] is the worker
+// who gave Values[i]; it is nil unless the question asked for workers
+// and the platform can tell.
+type ValueAnswers struct {
+	Values  []float64
+	Workers []int
 }
 
-// MultiValueBatch answers the questions through p's MultiValueBatcher
-// when it has one and through sequential Value calls otherwise. Both
-// paths are byte-identical by the batching contract; only the exchange
-// granularity differs.
-func MultiValueBatch(p Platform, qs []ObjectValueQuestion) ([][]float64, error) {
-	if mb, ok := p.(MultiValueBatcher); ok {
-		return mb.ValueBatchMulti(qs)
+// Value returns the first n answers about o.attr through a batch of one.
+func Value(p Platform, o *domain.Object, attr string, n int) ([]float64, error) {
+	ans, err := p.Values([]ObjectValueQuestion{{Object: o, Attr: attr, N: n}})
+	if err != nil {
+		return nil, err
 	}
-	out := make([][]float64, len(qs))
-	for i, q := range qs {
-		ans, err := p.Value(q.Object, q.Attr, q.N)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ans
-	}
-	return out, nil
+	return ans[0].Values, nil
 }
 
-// DetailedValuer is the optional capability of answering value questions
-// with per-answer worker identities — Value plus provenance. The
-// memoization contract is Value's (the answers ARE Value's answers);
-// only the identity metadata is extra. Quality-weighted aggregation
-// (internal/adaptive, internal/quality) needs it; the DisQ algorithm
-// itself never does. Wrappers forward it and return ErrNoWorkerDetail
-// when the wrapped platform lacks the capability, so callers can probe
-// once and degrade to the flat mean.
-type DetailedValuer interface {
-	ValueDetailed(o *domain.Object, attr string, n int) ([]DetailedAnswer, error)
-}
-
-// ErrNoWorkerDetail reports that a platform (or the platform at the
-// bottom of a wrapper stack) does not expose worker identities.
-var ErrNoWorkerDetail = errors.New("crowd: platform does not report worker identities")
-
-// RequestReporter is the optional capability of counting wire round
-// trips (HTTP attempts for crowdhttp.Client — distinct from questions,
-// since one batched request can carry many questions). In-process
-// platforms perform none and simply do not implement it; wrappers
-// forward the inner platform's count.
-type RequestReporter interface {
-	RequestCount() int64
+// Stats counts a platform stack's wire traffic and fault handling.
+type Stats struct {
+	// Requests counts wire round trips (HTTP attempts for
+	// crowdhttp.Client, including retries) — distinct from questions,
+	// since one batched request can carry many questions. In-process
+	// platforms perform none.
+	Requests int64
+	FaultStats
 }

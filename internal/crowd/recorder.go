@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/domain"
 	"repro/internal/store"
 )
 
@@ -79,16 +78,20 @@ func (r *Recorder) Table() *store.Table {
 	return out
 }
 
-// Value implements Platform, recording the full answer multiset.
-func (r *Recorder) Value(o *domain.Object, attr string, n int) ([]float64, error) {
-	answers, err := r.inner.Value(o, attr, n)
+// Values implements Platform, recording every question's full answer
+// multiset.
+func (r *Recorder) Values(qs []ObjectValueQuestion) ([]ValueAnswers, error) {
+	answers, err := r.inner.Values(qs)
 	if err != nil {
 		return nil, err
 	}
-	sh := r.shard(o.ID)
-	sh.mu.Lock()
-	sh.table.SetAnswers(o.ID, r.inner.Canonical(attr), answers)
-	sh.mu.Unlock()
+	for i, q := range qs {
+		attr := r.inner.Canonical(q.Attr)
+		sh := r.shard(q.Object.ID)
+		sh.mu.Lock()
+		sh.table.SetAnswers(q.Object.ID, attr, answers[i].Values)
+		sh.mu.Unlock()
+	}
 	return answers, nil
 }
 
@@ -135,3 +138,10 @@ func (r *Recorder) Ledger() *Ledger { return r.inner.Ledger() }
 
 // SetLedger implements Platform.
 func (r *Recorder) SetLedger(l *Ledger) *Ledger { return r.inner.SetLedger(l) }
+
+// ForkPlatform implements Platform: a recording cannot fork, so this
+// returns nil.
+func (r *Recorder) ForkPlatform() Platform { return nil }
+
+// Stats implements Platform.
+func (r *Recorder) Stats() Stats { return r.inner.Stats() }

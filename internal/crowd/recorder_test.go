@@ -25,7 +25,7 @@ func TestRecorderCapturesValuesAndExamples(t *testing.T) {
 	}
 
 	// Value answers recorded under the canonical name.
-	ans, err := rec.Value(ex[0].Object, "Is Dessert", 3)
+	ans, err := Value(rec, ex[0].Object, "Is Dessert", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestRecorderCapturesValuesAndExamples(t *testing.T) {
 		t.Fatalf("answers not recorded: %v", got)
 	}
 	// Re-asking more replaces with the fuller multiset.
-	if _, err := rec.Value(ex[0].Object, "Dessert", 5); err != nil {
+	if _, err := Value(rec, ex[0].Object, "Dessert", 5); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Table().Answers(ex[0].Object.ID, "Dessert")) != 5 {
@@ -82,7 +82,7 @@ func TestRecorderDelegation(t *testing.T) {
 		t.Fatal("SetLedger not delegated")
 	}
 	// Errors propagate without recording.
-	if _, err := rec.Value(nil, "Calories", 1); err == nil {
+	if _, err := Value(rec, nil, "Calories", 1); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -206,28 +206,36 @@ func (sh *objShard) provOf(o *domain.Object) string {
 	return ""
 }
 
-// Value implements Platform. Answers are cached per (object, attribute);
+// Value returns the first n answers about o.attr — Values for a batch
+// of one, without the batch. Answers are cached per (object, attribute);
 // only newly generated answers are charged.
 func (p *SimPlatform) Value(o *domain.Object, attr string, n int) ([]float64, error) {
+	ans, _, err := p.value(o, attr, n)
+	return ans, err
+}
+
+// value answers one question and returns the answer stream's key, which
+// locates the workers behind the answers.
+func (p *SimPlatform) value(o *domain.Object, attr string, n int) ([]float64, valueKey, error) {
 	if o == nil {
-		return nil, errors.New("crowd: nil object")
+		return nil, valueKey{}, errors.New("crowd: nil object")
 	}
 	if n < 0 {
-		return nil, fmt.Errorf("crowd: negative answer count %d", n)
+		return nil, valueKey{}, fmt.Errorf("crowd: negative answer count %d", n)
 	}
 	canon, err := p.store.u.Canonical(attr)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownAttribute, attr)
+		return nil, valueKey{}, fmt.Errorf("%w: %q", ErrUnknownAttribute, attr)
 	}
 	meta, err := p.store.u.Attribute(canon)
 	if err != nil {
-		return nil, err
+		return nil, valueKey{}, err
 	}
 	// Workers answer around the crowd consensus, which carries the
 	// attribute's systematic per-object distortion away from the truth.
 	consensus, err := p.store.u.Consensus(o, canon)
 	if err != nil {
-		return nil, err
+		return nil, valueKey{}, err
 	}
 	price := p.store.opts.Pricing.NumericValue
 	kind := NumericValue
@@ -245,77 +253,31 @@ func (p *SimPlatform) Value(o *domain.Object, attr string, n int) ([]float64, er
 		if err := ledger.Charge(kind, price); err != nil {
 			sh.paid[key] = paid
 			sh.mu.Unlock()
-			return nil, err
+			return nil, valueKey{}, err
 		}
 		paid++
 	}
 	sh.paid[key] = paid
 	sh.mu.Unlock()
-	return p.store.valueAnswers(key, n, meta, consensus), nil
+	return p.store.valueAnswers(key, n, meta, consensus), key, nil
 }
 
-// ValueBatch implements ValueBatcher. Simulated answers are a pure
-// function of the seed and the question identity, so the batch is exactly
-// the sequential Value calls — same answers, same charges — and exists so
-// in-process runs exercise the batched code path the remote client uses.
-func (p *SimPlatform) ValueBatch(o *domain.Object, qs []ValueQuestion) ([][]float64, error) {
-	out := make([][]float64, len(qs))
+// Values implements Platform. Simulated answers are a pure function of
+// the seed and the question identity, so a batch is exactly its
+// questions answered in order, and the simulated worker identities —
+// what a real platform reports and what quality management [19] needs —
+// come from the same store.
+func (p *SimPlatform) Values(qs []ObjectValueQuestion) ([]ValueAnswers, error) {
+	out := make([]ValueAnswers, len(qs))
 	for i, q := range qs {
-		ans, err := p.Value(o, q.Attr, q.N)
+		ans, key, err := p.value(q.Object, q.Attr, q.N)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = ans
-	}
-	return out, nil
-}
-
-// ValueBatchMulti implements MultiValueBatcher. As with ValueBatch,
-// simulated answers are a pure function of the seed and the question
-// identity, so the multi-object batch is exactly the sequential Value
-// calls — same answers, same charges (including partial charges when the
-// budget runs out mid-batch) — and exists so in-process runs exercise
-// the batched collect path the remote client uses.
-func (p *SimPlatform) ValueBatchMulti(qs []ObjectValueQuestion) ([][]float64, error) {
-	out := make([][]float64, len(qs))
-	for i, q := range qs {
-		ans, err := p.Value(q.Object, q.Attr, q.N)
-		if err != nil {
-			return nil, err
+		out[i].Values = ans
+		if q.Workers {
+			out[i].Workers = p.store.workerIDs(key, q.N)
 		}
-		out[i] = ans
-	}
-	return out, nil
-}
-
-// DetailedAnswer is one worker answer with its (simulated) worker identity
-// — what a real platform reports and what quality management [19] needs.
-type DetailedAnswer struct {
-	Worker int
-	Value  float64
-}
-
-// ValueDetailed is Value plus worker identities. It is a SimPlatform
-// capability (not part of the Platform interface): the DisQ algorithm
-// itself never needs worker identities, but a deployment's quality layer
-// does.
-func (p *SimPlatform) ValueDetailed(o *domain.Object, attr string, n int) ([]DetailedAnswer, error) {
-	values, err := p.Value(o, attr, n)
-	if err != nil {
-		return nil, err
-	}
-	canon, err := p.store.u.Canonical(attr)
-	if err != nil {
-		return nil, err
-	}
-	sh := p.objShard(o.ID)
-	sh.mu.Lock()
-	key := valueKey{objID: o.ID, prov: sh.provOf(o), attr: canon}
-	sh.mu.Unlock()
-	ids := p.store.workerIDs(key, n)
-	out := make([]DetailedAnswer, n)
-	for i := range out {
-		out[i] = DetailedAnswer{Worker: ids[i], Value: values[i]}
 	}
 	return out, nil
 }
@@ -468,3 +430,7 @@ func (p *SimPlatform) Ledger() *Ledger {
 func (p *SimPlatform) SetLedger(l *Ledger) *Ledger {
 	return p.ledger.Swap(l)
 }
+
+// Stats implements Platform: the simulator performs no wire round trips
+// and injects no faults.
+func (p *SimPlatform) Stats() Stats { return Stats{} }

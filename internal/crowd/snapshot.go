@@ -99,16 +99,5 @@ func (s *SimSnapshot) Fork() *SimPlatform {
 // Fork is shorthand for p.Snapshot().Fork().
 func (p *SimPlatform) Fork() *SimPlatform { return p.Snapshot().Fork() }
 
-// Forker is the generic copy-on-write session capability: a platform (or
-// wrapper) that can produce an independent view of itself — fresh ledger,
-// no questions asked, shared memoized answer pools — implements it.
-// Wrappers forward the fork downward and rewrap the result, so a
-// latency-modeled or retrying stack forks as a whole. ForkPlatform
-// returns nil when the underlying platform cannot fork, letting callers
-// (the serving tier) fall back to mutex-serialized sessions.
-type Forker interface {
-	ForkPlatform() Platform
-}
-
-// ForkPlatform implements Forker.
+// ForkPlatform implements Platform.
 func (p *SimPlatform) ForkPlatform() Platform { return p.Fork() }

@@ -82,6 +82,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("crowdhttp: batch of %d items exceeds limit %d", len(req.Items), maxBatchItems))
 		return
 	}
+	for _, it := range req.Items {
+		if err := checkN(it.N); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+	}
 	s.batches.Add(1)
 	s.batchItemCount.Add(int64(len(req.Items)))
 
@@ -95,7 +101,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.idemMu.Lock()
 		for i := range req.Items {
-			rec, ok := s.idem[batchSubKey(req.IdempotencyKey, i)]
+			rec, ok := s.idemItems[batchSubKey(req.IdempotencyKey, i)]
 			if ok && json.Unmarshal(rec.body, &results[i]) == nil {
 				continue
 			}
@@ -117,7 +123,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			if body, err := json.Marshal(results[i]); err == nil {
-				s.idem[batchSubKey(req.IdempotencyKey, i)] = idemRecord{status: http.StatusOK, body: body}
+				s.idemItems[batchSubKey(req.IdempotencyKey, i)] = idemRecord{status: http.StatusOK, body: body}
 			}
 		}
 		s.idemMu.Unlock()
@@ -138,7 +144,7 @@ func (s *Server) executeItem(it batchItem) batchItemResult {
 		if !ok {
 			return fail(fmt.Errorf("crowdhttp: unknown object %d", it.ObjectID))
 		}
-		answers, err := s.platform.Value(obj, it.Attribute, it.N)
+		answers, err := crowd.Value(s.platform, obj, it.Attribute, it.N)
 		if err != nil {
 			return fail(err)
 		}
@@ -207,7 +213,7 @@ func (s *Server) Stats() ServerStats {
 	st.RegisteredObjects = len(s.objects)
 	s.mu.RUnlock()
 	s.idemMu.Lock()
-	st.IdemRecords = len(s.idem)
+	st.IdemRecords = len(s.idem) + len(s.idemItems)
 	s.idemMu.Unlock()
 	return st
 }

@@ -3,9 +3,11 @@ package crowdhttp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -133,8 +135,32 @@ func TestBatchSubKeyReplay(t *testing.T) {
 	}
 }
 
+// TestBatchSubKeysApartFromRequestKeys pins that a request whose
+// idempotency key equals a batch item's sub-key executes instead of
+// replaying that item's record.
+func TestBatchSubKeysApartFromRequestKeys(t *testing.T) {
+	_, srv, ts := newPair(t, 37)
+	obj := srvPlatform(srv).Universe().NewObjects(testRand(), 1)[0]
+	srv.RegisterObject(obj)
+	postBatch(t, ts.URL, "k", []batchItem{{Kind: "meta", Attribute: "Calories"}})
+
+	body := fmt.Sprintf(`{"idempotency_key":%q,"object_id":%d,"attribute":"Calories","n":2}`, batchSubKey("k", 0), obj.ID)
+	resp, err := http.Post(ts.URL+PathValue, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var vr valueResponse
+	if err := json.NewDecoder(resp.Body).Decode(&vr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(vr.Answers) != 2 {
+		t.Fatalf("value request under a sub-key got status %d, answers %v", resp.StatusCode, vr.Answers)
+	}
+}
+
 // TestValueBatchSingleRoundTrip is the client-side contract: one
-// ValueBatch call answers the whole question set in one /v1/batch
+// Values call answers the whole question set in one /v1/batch
 // request, bit-equal to the single-question path, charged exactly once,
 // and entirely from cache on repeat.
 func TestValueBatchSingleRoundTrip(t *testing.T) {
@@ -148,13 +174,13 @@ func TestValueBatchSingleRoundTrip(t *testing.T) {
 		{Attr: "Is Dessert", N: 2},
 		{Attr: "Sugar", N: 2},
 	}
-	got, err := client.ValueBatch(domain.RefObject(obj.ID), qs)
+	got, err := valueBatch(client, domain.RefObject(obj.ID), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := client.TransportStats()
 	if st.Batches != 1 || st.BatchItems != 3 {
-		t.Fatalf("stats after one ValueBatch: %+v, want 1 batch of 3 items", st)
+		t.Fatalf("stats after one Values batch: %+v, want 1 batch of 3 items", st)
 	}
 	for i, q := range qs {
 		want, err := sim.Value(obj, q.Attr, q.N)
@@ -172,7 +198,7 @@ func TestValueBatchSingleRoundTrip(t *testing.T) {
 	}
 
 	// Repeat and overlapping prefixes are free and touch no wire.
-	again, err := client.ValueBatch(domain.RefObject(obj.ID),
+	again, err := valueBatch(client, domain.RefObject(obj.ID),
 		[]crowd.ValueQuestion{{Attr: "Calories", N: 2}, {Attr: "Sugar", N: 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -181,18 +207,18 @@ func TestValueBatchSingleRoundTrip(t *testing.T) {
 		t.Fatalf("cached replay diverged: %v", again)
 	}
 	if st2 := client.TransportStats(); st2.Batches != 1 {
-		t.Fatalf("cached ValueBatch sent another batch: %+v", st2)
+		t.Fatalf("cached batch sent another batch: %+v", st2)
 	}
 	if spent := client.Ledger().Spent(); spent != want {
 		t.Fatalf("cached replay charged: %v, want %v", spent, want)
 	}
 	// The single-question path shares the cache, byte for byte.
-	single, err := client.Value(domain.RefObject(obj.ID), "Calories", 3)
+	single, err := crowd.Value(client, domain.RefObject(obj.ID), "Calories", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(single, got[0]) {
-		t.Fatalf("Value after ValueBatch = %v, want %v", single, got[0])
+		t.Fatalf("single question after batch = %v, want %v", single, got[0])
 	}
 }
 
@@ -216,7 +242,7 @@ func TestBatchIdempotentReplayUnderFaults(t *testing.T) {
 		out := make([][][]float64, len(objs))
 		for i, o := range objs {
 			srv.RegisterObject(o)
-			ans, err := client.ValueBatch(domain.RefObject(o.ID), qs)
+			ans, err := valueBatch(client, domain.RefObject(o.ID), qs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +317,7 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 // TestCoalescingMergesConcurrentCallers holds the coalescer open like a
-// slow concurrent caller and checks that several ValueBatch calls land in
+// slow concurrent caller and checks that several Values calls land in
 // one wire request.
 func TestCoalescingMergesConcurrentCallers(t *testing.T) {
 	sim, err := crowd.NewSim(domain.Recipes(), crowd.SimOptions{Seed: 36})
@@ -317,7 +343,7 @@ func TestCoalescingMergesConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func(i int, id int) {
 			defer wg.Done()
-			answers[i], errs[i] = client.ValueBatch(domain.RefObject(id), qs)
+			answers[i], errs[i] = valueBatch(client, domain.RefObject(id), qs)
 		}(i, o.ID)
 	}
 	// Wait until every caller has parked its questions in the pending

@@ -35,7 +35,7 @@ type Options struct {
 	// jitter so synchronized clients do not stampede a recovering server.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// BatchWindow is the micro-batching window of ValueBatch: how long
+	// BatchWindow is the micro-batching window of Values: how long
 	// enqueued questions may wait for concurrent callers to join the
 	// batch before a flush is forced (default 2ms; negative = flush at
 	// every enqueue). The window is only an upper bound — a batch
@@ -91,7 +91,7 @@ type TransportStats struct {
 	// size).
 	Batches    int64
 	BatchItems int64
-	// Coalesced counts ValueBatch calls whose questions joined another
+	// Coalesced counts Values calls whose questions joined another
 	// caller's in-flight batch instead of opening their own.
 	Coalesced int64
 }
@@ -156,7 +156,7 @@ type Client struct {
 	batchMu      sync.Mutex
 	pending      []*pendingItem
 	pendingTimer *time.Timer
-	// preparing counts ValueBatch callers between entry and enqueue; the
+	// preparing counts Values callers between entry and enqueue; the
 	// pending batch flushes the moment it drops to zero, so the window
 	// timer is only a staleness bound, never the common-case latency.
 	preparing int
@@ -223,24 +223,27 @@ func (c *Client) TransportStats() TransportStats {
 	}
 }
 
-// RequestCount implements crowd.RequestReporter: the number of HTTP
-// attempts this client has sent (including retries). core.Preprocess
+// Stats implements crowd.Platform: Requests is the number of HTTP
+// attempts this client has sent (including retries) — core.Preprocess
 // reads deltas of it to report per-phase wire round trips, which is how
-// the phase trace proves the batching win.
-func (c *Client) RequestCount() int64 {
-	return c.requests.Load()
-}
-
-// FaultStats implements crowd.FaultReporter, mapping the transport
-// counters onto the shared fault-accounting shape.
-func (c *Client) FaultStats() crowd.FaultStats {
-	return crowd.FaultStats{
-		Questions:      c.requests.Load(),
-		InjectedErrors: c.transientErrs.Load(),
-		InjectedShorts: c.shortResponses.Load(),
-		Retries:        c.retries.Load(),
+// the phase trace proves the batching win — and the fault counters map
+// the transport counters onto the shared fault-accounting shape.
+func (c *Client) Stats() crowd.Stats {
+	requests := c.requests.Load()
+	return crowd.Stats{
+		Requests: requests,
+		FaultStats: crowd.FaultStats{
+			Questions:      requests,
+			InjectedErrors: c.transientErrs.Load(),
+			InjectedShorts: c.shortResponses.Load(),
+			Retries:        c.retries.Load(),
+		},
 	}
 }
+
+// ForkPlatform implements crowd.Platform: the client's answer cache
+// mirrors its own asks, so it cannot fork and returns nil.
+func (c *Client) ForkPlatform() crowd.Platform { return nil }
 
 // post sends one logical JSON request, retrying transient failures with
 // exponential backoff and jitter. The idempotency key is generated once
@@ -421,12 +424,12 @@ func (c *Client) lockExampleKey(k string) func() {
 	return lk.Unlock
 }
 
-// Value implements crowd.Platform: local cache first, then charge the
-// ledger for the missing answers and fetch the full prefix remotely. The
-// per-key lock makes cache-check + charge + fetch one critical section,
-// so two concurrent callers of the same question never both pay; the
-// reservation is released (refunded) if the request fails.
-func (c *Client) Value(o *domain.Object, attr string, n int) ([]float64, error) {
+// value answers one question over /v1/value: local cache first, then
+// charge the ledger for the missing answers and fetch the full prefix
+// remotely. The per-key lock makes cache-check + charge + fetch one
+// critical section, so two concurrent callers of the same question never
+// both pay; the reservation is released (refunded) if the request fails.
+func (c *Client) value(o *domain.Object, attr string, n int) ([]float64, error) {
 	if o == nil {
 		return nil, errors.New("crowdhttp: nil object")
 	}
@@ -551,7 +554,7 @@ func (c *Client) Verify(candidate, target string) (bool, error) {
 // Examples implements crowd.Platform with the same stream-prefix reuse as
 // the simulator: only examples beyond the locally cached prefix are
 // charged and fetched, under the same single-flight + reservation
-// discipline as Value.
+// discipline as value questions.
 func (c *Client) Examples(targets []string, n int) ([]crowd.Example, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("crowdhttp: negative example count %d", n)
@@ -631,8 +634,9 @@ func (c *Client) fetchExamples(canon []string, n int) (examplesResponse, error) 
 // Canonical implements crowd.Platform. The interface offers no error
 // path, so when the transport retries are exhausted it degrades to the
 // raw name WITHOUT caching it — the next call retries the server instead
-// of pinning a desynchronized key. Internal users (Value, Examples,
-// metadata) call canonicalName and surface the transport error instead.
+// of pinning a desynchronized key. Internal users (value questions,
+// Examples, metadata) call canonicalName and surface the transport error
+// instead.
 func (c *Client) Canonical(name string) string {
 	canon, err := c.canonicalName(name)
 	if err != nil {

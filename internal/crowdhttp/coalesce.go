@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/crowd"
-	"repro/internal/domain"
 )
 
 // pendingItem is one question waiting in the coalescer. The outcome
@@ -24,7 +23,7 @@ type batchOutcome struct {
 	err error
 }
 
-// batchEnter announces a ValueBatch caller that may enqueue questions.
+// batchEnter announces a Values caller that may enqueue questions.
 // Pending flushes are held back while any caller is still preparing, so
 // concurrent callers (EvaluateBatch fans objects out in parallel) land in
 // one request instead of one each.
@@ -123,37 +122,32 @@ func (c *Client) sendBatch(items []*pendingItem) {
 	}
 }
 
-// ValueBatch implements crowd.ValueBatcher: answer every question about
-// one object in (at most) one round trip. It is the single-object form
-// of ValueBatchMulti.
-func (c *Client) ValueBatch(o *domain.Object, qs []crowd.ValueQuestion) ([][]float64, error) {
-	if o == nil {
-		return nil, errors.New("crowdhttp: nil object")
-	}
-	mqs := make([]crowd.ObjectValueQuestion, len(qs))
-	for i, q := range qs {
-		mqs[i] = crowd.ObjectValueQuestion{Object: o, Attr: q.Attr, N: q.N}
-	}
-	return c.ValueBatchMulti(mqs)
-}
-
-// ValueBatchMulti implements crowd.MultiValueBatcher: answer value
-// questions spanning many objects in (at most) one round trip, with the
-// same caching, single-flight and transactional-charging guarantees as
-// len(qs) Value calls — and byte-identical answers, since the server
-// memoizes per question identity either way. This is the shape of
-// statistics collection (one attribute × a whole example stream), which
-// it collapses from one request per example to one request per stream.
+// Values implements crowd.Platform. A batch of one goes down the
+// single-question /v1/value path. A larger batch — one object's online
+// questions, or one attribute sampled across a whole example stream in
+// statistics collection — goes out in (at most) one /v1/batch round
+// trip, with the same caching, single-flight and transactional-charging
+// guarantees as len(qs) single questions, and byte-identical answers,
+// since the server memoizes per question identity either way. The
+// client cannot tell who answered, so Workers stays nil.
 //
-// The call locks every distinct question key in sorted order (Value holds
-// one key at a time, so ordered acquisition cannot deadlock against it),
-// reserves the cost of every cache-missing answer up front, and enqueues
-// the missing questions into the coalescer, where concurrent callers'
-// questions merge into shared requests. Per-item transient failures and
-// short answer batches fall back to the single-question path (fresh
-// idempotency keys, its own retry budget); any terminal failure releases
-// the whole reservation and fails the call, like Value.
-func (c *Client) ValueBatchMulti(qs []crowd.ObjectValueQuestion) ([][]float64, error) {
+// A batch locks every distinct question key in sorted order (a single
+// question holds one key at a time, so ordered acquisition cannot
+// deadlock against it), reserves the cost of every cache-missing answer
+// up front, and enqueues the missing questions into the coalescer, where
+// concurrent callers' questions merge into shared requests. Per-item
+// transient failures and short answer batches fall back to the
+// single-question path (fresh idempotency keys, its own retry budget);
+// any terminal failure releases the whole reservation and fails the
+// call.
+func (c *Client) Values(qs []crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
+	if len(qs) == 1 {
+		vals, err := c.value(qs[0].Object, qs[0].Attr, qs[0].N)
+		if err != nil {
+			return nil, err
+		}
+		return []crowd.ValueAnswers{{Values: vals}}, nil
+	}
 	for _, q := range qs {
 		if q.Object == nil {
 			return nil, errors.New("crowdhttp: nil object")
@@ -163,7 +157,7 @@ func (c *Client) ValueBatchMulti(qs []crowd.ObjectValueQuestion) ([][]float64, e
 		}
 	}
 	if len(qs) == 0 {
-		return [][]float64{}, nil
+		return []crowd.ValueAnswers{}, nil
 	}
 
 	c.batchEnter()
@@ -322,11 +316,11 @@ func (c *Client) ValueBatchMulti(qs []crowd.ObjectValueQuestion) ([][]float64, e
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([][]float64, len(qs))
+	out := make([]crowd.ValueAnswers, len(qs))
 	for i, q := range qs {
 		vals := c.values[valueKey{objID: q.Object.ID, attr: canon[i]}]
-		out[i] = make([]float64, q.N)
-		copy(out[i], vals[:q.N])
+		out[i].Values = make([]float64, q.N)
+		copy(out[i].Values, vals[:q.N])
 	}
 	return out, nil
 }

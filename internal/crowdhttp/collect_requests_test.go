@@ -49,7 +49,7 @@ func TestCollectRoundTripsBatched(t *testing.T) {
 		client := NewClientWithOptions(ts.URL, ts.Client(), Options{MaxBatch: 256})
 		var p crowd.Platform = client
 		if strip {
-			p = crowd.NewBatched(client, -1) // hides the batching capabilities
+			p = crowd.NewBatched(client, -1) // one question per exchange
 		}
 		var collect core.PhaseStats
 		opts := core.Options{Trace: func(e core.TraceEvent) {
@@ -97,7 +97,7 @@ func TestCollectRoundTripsBatched(t *testing.T) {
 		t.Fatalf("batched run never used %s", PathBatch)
 	}
 	if serial.paths[PathBatch] != 0 {
-		t.Fatalf("stripped run used %s — the capability hiding is broken", PathBatch)
+		t.Fatalf("one-question-per-exchange run used %s", PathBatch)
 	}
 
 	// Bit-identical outputs: same questions, same answers, same money.

@@ -59,7 +59,7 @@ func TestExamplesAndValueRoundTrip(t *testing.T) {
 		t.Fatalf("3 examples cost %v", spent)
 	}
 	// Value questions about a served object work through the registry.
-	ans, err := client.Value(ex[0].Object, "Calories", 4)
+	ans, err := crowd.Value(client, ex[0].Object, "Calories", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestExamplesAndValueRoundTrip(t *testing.T) {
 		t.Fatalf("value charge wrong: %v", got)
 	}
 	// Re-asking is free and identical (local cache).
-	again, err := client.Value(ex[0].Object, "Calories", 4)
+	again, err := crowd.Value(client, ex[0].Object, "Calories", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestExamplesAndValueRoundTrip(t *testing.T) {
 		t.Fatal("cached answers should not be re-charged")
 	}
 	// Extension charges only the delta.
-	if _, err := client.Value(ex[0].Object, "Calories", 6); err != nil {
+	if _, err := crowd.Value(client, ex[0].Object, "Calories", 6); err != nil {
 		t.Fatal(err)
 	}
 	if client.Ledger().Spent() != spent+6*crowd.Cents(0.4) {
@@ -93,7 +93,7 @@ func TestExamplesAndValueRoundTrip(t *testing.T) {
 
 func TestValueUnknownObjectRejected(t *testing.T) {
 	client, _, _ := newPair(t, 4)
-	_, err := client.Value(domain.RefObject(987654), "Calories", 1)
+	_, err := crowd.Value(client, domain.RefObject(987654), "Calories", 1)
 	if err == nil || !strings.Contains(err.Error(), "unknown object") {
 		t.Fatalf("expected unknown-object error, got %v", err)
 	}
@@ -104,12 +104,12 @@ func TestRegisterObjectEnablesOnlinePhase(t *testing.T) {
 	// An object that never went through example questions…
 	sim := srvPlatform(srv)
 	obj := sim.Universe().NewObjects(testRand(), 1)[0]
-	if _, err := client.Value(domain.RefObject(obj.ID), "Calories", 1); err == nil {
+	if _, err := crowd.Value(client, domain.RefObject(obj.ID), "Calories", 1); err == nil {
 		t.Fatal("unregistered object should fail")
 	}
 	// …works once registered server-side.
 	srv.RegisterObject(obj)
-	if _, err := client.Value(domain.RefObject(obj.ID), "Calories", 1); err != nil {
+	if _, err := crowd.Value(client, domain.RefObject(obj.ID), "Calories", 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -155,10 +155,10 @@ func TestClientEnforcesBudgetLocally(t *testing.T) {
 
 func TestClientValidation(t *testing.T) {
 	client, _, _ := newPair(t, 8)
-	if _, err := client.Value(nil, "Calories", 1); err == nil {
+	if _, err := crowd.Value(client, nil, "Calories", 1); err == nil {
 		t.Fatal("nil object should error")
 	}
-	if _, err := client.Value(domain.RefObject(1), "Calories", -1); err == nil {
+	if _, err := crowd.Value(client, domain.RefObject(1), "Calories", -1); err == nil {
 		t.Fatal("negative n should error")
 	}
 	if _, err := client.Examples(nil, 1); err == nil {

@@ -76,7 +76,7 @@ func TestValueConcurrentSingleCharge(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			start.Wait()
-			answers[w], errs[w] = client.Value(ex[0].Object, "Calories", 4)
+			answers[w], errs[w] = crowd.Value(client, ex[0].Object, "Calories", 4)
 		}(w)
 	}
 	start.Done()
@@ -121,7 +121,7 @@ func TestFailedRequestReleasesReservation(t *testing.T) {
 	if _, err := client.Examples([]string{"Protein"}, 3); err == nil {
 		t.Fatal("expected transport failure")
 	}
-	if _, err := client.Value(ex[0].Object, "Calories", 2); err == nil {
+	if _, err := crowd.Value(client, ex[0].Object, "Calories", 2); err == nil {
 		t.Fatal("expected transport failure")
 	}
 	if got := client.Ledger().Spent(); got != spent {
@@ -138,7 +138,7 @@ func TestFailedRequestReleasesReservation(t *testing.T) {
 	if _, err := client.Dismantle("Protein"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Value(ex[0].Object, "Calories", 2); err != nil {
+	if _, err := crowd.Value(client, ex[0].Object, "Calories", 2); err != nil {
 		t.Fatal(err)
 	}
 	want := spent + crowd.Cents(1.5) + 2*crowd.Cents(0.4)
@@ -155,7 +155,7 @@ func TestCanonicalTransientErrorsSurface(t *testing.T) {
 	client, _, broken := breakablePair(t, 23, fastOptions(-1), PathCanonical)
 
 	broken.Store(true)
-	_, err := client.Value(domain.RefObject(1), "Calories", 1)
+	_, err := crowd.Value(client, domain.RefObject(1), "Calories", 1)
 	if err == nil || !strings.Contains(err.Error(), "canonicalizing") {
 		t.Fatalf("Value should surface the canonicalization failure, got %v", err)
 	}
@@ -320,7 +320,7 @@ func TestConcurrentHammerUnderFaults(t *testing.T) {
 			// Every worker asks all four value questions: duplicates must
 			// coalesce into a single charge via the per-key lock.
 			for _, e := range ex {
-				if _, err := client.Value(e.Object, "Calories", 3); err != nil {
+				if _, err := crowd.Value(client, e.Object, "Calories", 3); err != nil {
 					errs[w] = err
 					return
 				}

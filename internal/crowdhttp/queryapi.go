@@ -77,17 +77,32 @@ func (s *QueryServer) Handler() http.Handler {
 func (s *QueryServer) Queries() int64 { return s.queries.Load() }
 
 func (s *QueryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("crowdhttp: %s requires POST", r.URL.Path))
-		return
-	}
-	var wire queryWire
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("crowdhttp: bad request body: %w", err))
+	req, ok := decodeQuery(w, r)
+	if !ok {
 		return
 	}
 	s.queries.Add(1)
-	res, err := s.tier.Execute(r.Context(), serve.Request{
+	res, err := s.tier.Execute(r.Context(), req)
+	if err != nil {
+		writeError(w, queryStatusFor(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
+}
+
+// decodeQuery reads one query request, answering 4xx itself when the
+// request is not a well-formed query.
+func decodeQuery(w http.ResponseWriter, r *http.Request) (serve.Request, bool) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("crowdhttp: %s requires POST", r.URL.Path))
+		return serve.Request{}, false
+	}
+	var wire queryWire
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&wire); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("crowdhttp: bad request body: %w", err))
+		return serve.Request{}, false
+	}
+	return serve.Request{
 		Statement:    wire.Statement,
 		Class:        wire.Class,
 		ObjectIDs:    wire.ObjectIDs,
@@ -98,12 +113,23 @@ func (s *QueryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Lazy:         wire.Lazy,
 		Shards:       wire.Shards,
 		ReuseAnswers: wire.Reuse,
-	})
-	if err != nil {
-		writeError(w, queryStatusFor(err), err)
-		return
+	}, true
+}
+
+// wireOf is the wire form of a request, the inverse of decodeQuery.
+func wireOf(req serve.Request) queryWire {
+	return queryWire{
+		Statement:  req.Statement,
+		Class:      req.Class,
+		ObjectIDs:  req.ObjectIDs,
+		MaxObjects: req.MaxObjects,
+		BObjMills:  int64(req.BObj),
+		BPrcMills:  int64(req.BPrc),
+		Adaptive:   req.Adaptive,
+		Lazy:       req.Lazy,
+		Shards:     req.Shards,
+		Reuse:      req.ReuseAnswers,
 	}
-	writeJSON(w, http.StatusOK, res)
 }
 
 // queryStatusFor maps a tier error onto HTTP: admission sheds are 429
@@ -139,18 +165,7 @@ func NewQueryClient(base string, httpClient *http.Client) *QueryClient {
 
 // Execute implements serve.Executor over the wire.
 func (c *QueryClient) Execute(ctx context.Context, req serve.Request) (*serve.Result, error) {
-	body, err := json.Marshal(queryWire{
-		Statement:  req.Statement,
-		Class:      req.Class,
-		ObjectIDs:  req.ObjectIDs,
-		MaxObjects: req.MaxObjects,
-		BObjMills:  int64(req.BObj),
-		BPrcMills:  int64(req.BPrc),
-		Adaptive:   req.Adaptive,
-		Lazy:       req.Lazy,
-		Shards:     req.Shards,
-		Reuse:      req.ReuseAnswers,
-	})
+	body, err := json.Marshal(wireOf(req))
 	if err != nil {
 		return nil, err
 	}

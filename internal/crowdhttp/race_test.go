@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/crowd"
 )
 
 // TestServerConcurrentQuestions hammers one server from many client
@@ -34,7 +36,7 @@ func TestServerConcurrentQuestions(t *testing.T) {
 				switch it % 5 {
 				case 0:
 					o := ex[rng.Intn(len(ex))].Object
-					if _, err := client.Value(o, "Calories", 1+rng.Intn(4)); err != nil {
+					if _, err := crowd.Value(client, o, "Calories", 1+rng.Intn(4)); err != nil {
 						errs[w] = err
 						return
 					}
@@ -82,11 +84,11 @@ func TestServerConcurrentQuestions(t *testing.T) {
 		if e.Object.ID != seqEx[i].Object.ID {
 			t.Fatalf("example %d: object id %d vs sequential %d", i, e.Object.ID, seqEx[i].Object.ID)
 		}
-		got, err := client.Value(e.Object, "Calories", 4)
+		got, err := crowd.Value(client, e.Object, "Calories", 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := seqClient.Value(seqEx[i].Object, "Calories", 4)
+		want, err := crowd.Value(seqClient, seqEx[i].Object, "Calories", 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,6 +63,26 @@ const (
 	PathStats     = "/v1/stats"
 )
 
+// Wire input bounds. The server neutralizes its platform's budget (clients
+// budget themselves), so without them one request could make the
+// platform generate answers or examples until the process runs out of
+// memory.
+const (
+	// maxAnswers bounds the answer or example count N of one question.
+	maxAnswers = 1 << 16
+	// maxBodyBytes bounds one request body; a full /v1/batch of
+	// maxBatchItems questions stays far below it.
+	maxBodyBytes = 1 << 20
+)
+
+// checkN rejects an answer or example count above maxAnswers.
+func checkN(n int) error {
+	if n > maxAnswers {
+		return fmt.Errorf("crowdhttp: n = %d exceeds limit %d", n, maxAnswers)
+	}
+	return nil
+}
+
 // servedPaths lists every endpoint, for the per-path request counters.
 var servedPaths = []string{
 	PathValue, PathDismantle, PathVerify, PathExamples,
@@ -232,6 +252,10 @@ type Server struct {
 
 	idemMu sync.Mutex
 	idem   map[string]idemRecord
+	// idemItems records /v1/batch items under their sub-keys, apart from
+	// idem: a client key that happens to look like a sub-key must not
+	// replay another batch's item.
+	idemItems map[string]idemRecord
 
 	// Observability counters, served at /v1/stats. reqCounts is keyed by
 	// endpoint path and fully populated at construction, so handlers only
@@ -251,6 +275,7 @@ func NewServer(p crowd.Platform) *Server {
 		platform:  p,
 		objects:   make(map[int]*domain.Object),
 		idem:      make(map[string]idemRecord),
+		idemItems: make(map[string]idemRecord),
 		reqCounts: make(map[string]*atomic.Int64, len(servedPaths)),
 	}
 	for _, path := range servedPaths {
@@ -330,7 +355,7 @@ func (s *Server) wrap(path string, h http.HandlerFunc) http.HandlerFunc {
 			writeError(w, http.StatusServiceUnavailable, errInjectedFault)
 			return
 		}
-		body, err := io.ReadAll(r.Body)
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("crowdhttp: reading request body: %w", err))
 			return
@@ -429,12 +454,16 @@ func (s *Server) handleValue(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
+	if err := checkN(req.N); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	obj, ok := s.lookupObject(req.ObjectID)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("crowdhttp: unknown object %d", req.ObjectID))
 		return
 	}
-	answers, err := s.platform.Value(obj, req.Attribute, req.N)
+	answers, err := crowd.Value(s.platform, obj, req.Attribute, req.N)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -471,6 +500,10 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExamples(w http.ResponseWriter, r *http.Request) {
 	var req examplesRequest
 	if !decode(w, r, &req) {
+		return
+	}
+	if err := checkN(req.N); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	examples, err := s.platform.Examples(req.Targets, req.N)

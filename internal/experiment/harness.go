@@ -48,10 +48,10 @@ type PlatformConfig struct {
 	// Retry tunes the recovery layer used with Faults (zero = defaults).
 	Retry crowd.RetryOptions
 	// BatchSize shapes the value-question batching of each repetition's
-	// platform (crowd.NewBatched): 0 leaves the platform's native
-	// capability, < 0 disables batching (the unbatched control), > 0
-	// batches up to that many questions per exchange. Any setting yields
-	// byte-identical results — answers are memoized per question
+	// platform (crowd.NewBatched): 0 leaves the platform's own exchange
+	// shape, < 0 sends one question per exchange (the unbatched control),
+	// > 0 batches up to that many questions per exchange. Any setting
+	// yields byte-identical results — answers are memoized per question
 	// identity — so experiments can compare exchange granularities
 	// without perturbing the science.
 	BatchSize int
@@ -342,11 +342,7 @@ func runRepOn(spec Spec, sim *crowd.SimPlatform, seed int64, env *repEnv) repOut
 		}
 		out[ai] = werr
 	}
-	ro := repOut{errs: out, spent: sim.Ledger().Spent()}
-	if fr, ok := plat.(crowd.FaultReporter); ok {
-		ro.stats = fr.FaultStats()
-	}
-	return ro
+	return repOut{errs: out, spent: sim.Ledger().Spent(), stats: plat.Stats().FaultStats}
 }
 
 // runOneRep builds the repetition's environment and runs all algorithms on

@@ -128,16 +128,11 @@ func TestQualityOnSimulatedSpam(t *testing.T) {
 	objs := u.NewObjects(rand.New(rand.NewSource(6)), 150)
 	var cells []Cell
 	for _, o := range objs {
-		det, err := p.ValueDetailed(o, "Calories", 8)
+		det, err := p.Values([]crowd.ObjectValueQuestion{{Object: o, Attr: "Calories", N: 8, Workers: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := Cell{}
-		for _, d := range det {
-			c.Values = append(c.Values, d.Value)
-			c.Workers = append(c.Workers, d.Worker)
-		}
-		cells = append(cells, c)
+		cells = append(cells, Cell{Values: det[0].Values, Workers: det[0].Workers})
 	}
 	ws, err := EstimateWorkers(cells, Options{})
 	if err != nil {

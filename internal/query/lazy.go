@@ -556,7 +556,7 @@ func (r *lazyRun) peekMemo(s *objState, j int) bool {
 // fetchRound advances every unfinished dependency one asking round
 // (adaptive.RoundTarget pacing) and reports whether anything was asked.
 func (r *lazyRun) fetchRound(s *objState, deps []int) (bool, error) {
-	var qs []crowd.ValueQuestion
+	var qs []crowd.ObjectValueQuestion
 	var idxs []int
 	for _, j := range deps {
 		if s.fetched[j] || s.settled[j] || r.peekMemo(s, j) {
@@ -567,18 +567,18 @@ func (r *lazyRun) fetchRound(s *objState, deps []int) (bool, error) {
 		if to <= s.asked[j] {
 			continue
 		}
-		qs = append(qs, crowd.ValueQuestion{Attr: r.attrs[j], N: to})
+		qs = append(qs, crowd.ObjectValueQuestion{Object: s.o, Attr: r.attrs[j], N: to})
 		idxs = append(idxs, j)
 	}
 	if len(qs) == 0 {
 		return false, nil
 	}
-	answers, err := r.valueBatch(s.o, qs)
+	answers, err := r.values(qs)
 	if err != nil {
 		return false, err
 	}
 	for k, j := range idxs {
-		r.ingest(s, j, answers[k])
+		r.ingest(s, j, answers[k].Values)
 	}
 	return true, nil
 }
@@ -587,52 +587,39 @@ func (r *lazyRun) fetchRound(s *objState, deps []int) (bool, error) {
 // attributes stay at their early-stopped mean — that is the approximation
 // a finite Z buys).
 func (r *lazyRun) fetchFull(s *objState, deps []int) error {
-	var qs []crowd.ValueQuestion
+	var qs []crowd.ObjectValueQuestion
 	var idxs []int
 	for _, j := range deps {
 		if s.fetched[j] || s.settled[j] || r.peekMemo(s, j) {
 			continue
 		}
-		qs = append(qs, crowd.ValueQuestion{Attr: r.attrs[j], N: r.counts[j]})
+		qs = append(qs, crowd.ObjectValueQuestion{Object: s.o, Attr: r.attrs[j], N: r.counts[j]})
 		idxs = append(idxs, j)
 	}
 	if len(qs) == 0 {
 		return nil
 	}
-	answers, err := r.valueBatch(s.o, qs)
+	answers, err := r.values(qs)
 	if err != nil {
 		return err
 	}
 	for k, j := range idxs {
-		r.ingest(s, j, answers[k])
+		r.ingest(s, j, answers[k].Values)
 	}
 	return nil
 }
 
-// valueBatch answers the questions, preferring the platform's batching
-// capability (one exchange) exactly like the compiled plan's
-// collectMeans — the answers are identical on both paths by the
-// ValueBatcher contract.
-func (r *lazyRun) valueBatch(o *domain.Object, qs []crowd.ValueQuestion) ([][]float64, error) {
-	if vb, ok := r.e.platform.(crowd.ValueBatcher); ok && len(qs) > 1 {
-		answers, err := vb.ValueBatch(o, qs)
-		if err != nil {
-			return nil, fmt.Errorf("query: lazy value questions: %w", err)
-		}
-		if len(answers) != len(qs) {
-			return nil, fmt.Errorf("query: value batch returned %d answer sets, want %d", len(answers), len(qs))
-		}
-		return answers, nil
+// values answers the questions in one exchange, exactly like the
+// compiled plan's collectMeans.
+func (r *lazyRun) values(qs []crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
+	answers, err := r.e.platform.Values(qs)
+	if err != nil {
+		return nil, fmt.Errorf("query: lazy value questions: %w", err)
 	}
-	out := make([][]float64, len(qs))
-	for i, q := range qs {
-		ans, err := r.e.platform.Value(o, q.Attr, q.N)
-		if err != nil {
-			return nil, fmt.Errorf("query: lazy value questions for %q: %w", q.Attr, err)
-		}
-		out[i] = ans
+	if len(answers) != len(qs) {
+		return nil, fmt.Errorf("query: value batch returned %d answer sets, want %d", len(answers), len(qs))
 	}
-	return out, nil
+	return answers, nil
 }
 
 // ingest folds one attribute's (cumulative) answer slice into the object

@@ -11,19 +11,19 @@ import (
 )
 
 // valuePoison fails every value question about one object, leaving the
-// rest of the platform untouched. It deliberately exposes only the
-// crowd.Platform interface (no snapshot/fork/batch capabilities), so the
-// engine takes the sequential Value path where the poison bites.
+// rest of the platform untouched.
 type valuePoison struct {
 	crowd.Platform
 	objectID int
 }
 
-func (p valuePoison) Value(o *domain.Object, attr string, n int) ([]float64, error) {
-	if o.ID == p.objectID {
-		return nil, fmt.Errorf("poisoned object %d", o.ID)
+func (p valuePoison) Values(qs []crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
+	for _, q := range qs {
+		if q.Object.ID == p.objectID {
+			return nil, fmt.Errorf("poisoned object %d", q.Object.ID)
+		}
 	}
-	return p.Platform.Value(o, attr, n)
+	return p.Platform.Values(qs)
 }
 
 // TestLazyErrorDoesNotCountAbortedSkips is the accounting regression pin

@@ -335,7 +335,7 @@ func TestEngineExecuteOverFaultyPlatform(t *testing.T) {
 			}
 		}
 	}
-	if s := retry.FaultStats(); s.InjectedErrors == 0 || s.Retries == 0 {
+	if s := retry.Stats(); s.InjectedErrors == 0 || s.Retries == 0 {
 		t.Fatalf("fault schedule never fired: %+v", s)
 	}
 

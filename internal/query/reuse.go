@@ -119,7 +119,6 @@ type reuseRun struct {
 	memo   AnswerMemo
 	attrs  []string
 	counts []int
-	qs     []crowd.ValueQuestion
 	price  []crowd.Cost // per answer, aligned with attrs
 	stats  ReuseStats
 }
@@ -129,13 +128,7 @@ func newReuseRun(e *Engine) (*reuseRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &reuseRun{e: e, memo: e.memo, attrs: attrs, counts: counts}
-	r.qs = make([]crowd.ValueQuestion, len(attrs))
-	r.price = answerPrices(e.platform, attrs)
-	for j, a := range attrs {
-		r.qs[j] = crowd.ValueQuestion{Attr: a, N: counts[j]}
-	}
-	return r, nil
+	return &reuseRun{e: e, memo: e.memo, attrs: attrs, counts: counts, price: answerPrices(e.platform, attrs)}, nil
 }
 
 // answerPrices returns each attribute's per-answer price.
@@ -176,34 +169,23 @@ func (r *reuseRun) estimate(o *domain.Object) (map[string]float64, error) {
 	return r.e.plan.PredictFromMeans(means)
 }
 
-// pay buys the missing questions, preferring the platform's batching
-// capability exactly like collectMeans: one ValueBatch exchange when more
-// than one question misses, the sequential loop otherwise.
+// pay buys the missing questions in one exchange, exactly like
+// collectMeans.
 func (r *reuseRun) pay(o *domain.Object, miss []int) ([]float64, error) {
-	qs := make([]crowd.ValueQuestion, len(miss))
+	qs := make([]crowd.ObjectValueQuestion, len(miss))
 	for k, j := range miss {
-		qs[k] = r.qs[j]
+		qs[k] = crowd.ObjectValueQuestion{Object: o, Attr: r.attrs[j], N: r.counts[j]}
 	}
-	means := make([]float64, len(miss))
-	if vb, ok := r.e.platform.(crowd.ValueBatcher); ok && len(qs) > 1 {
-		answers, err := vb.ValueBatch(o, qs)
-		if err != nil {
-			return nil, fmt.Errorf("query: reuse value questions: %w", err)
-		}
-		if len(answers) != len(qs) {
-			return nil, fmt.Errorf("query: value batch returned %d answer sets, want %d", len(answers), len(qs))
-		}
-		for k, ans := range answers {
-			means[k] = stats.Mean(ans)
-		}
-		return means, nil
+	answers, err := r.e.platform.Values(qs)
+	if err != nil {
+		return nil, fmt.Errorf("query: reuse value questions: %w", err)
 	}
-	for k, q := range qs {
-		ans, err := r.e.platform.Value(o, q.Attr, q.N)
-		if err != nil {
-			return nil, fmt.Errorf("query: reuse value questions for %q: %w", q.Attr, err)
-		}
-		means[k] = stats.Mean(ans)
+	if len(answers) != len(qs) {
+		return nil, fmt.Errorf("query: value batch returned %d answer sets, want %d", len(answers), len(qs))
+	}
+	means := make([]float64, len(qs))
+	for k, ans := range answers {
+		means[k] = stats.Mean(ans.Values)
 	}
 	return means, nil
 }

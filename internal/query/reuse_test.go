@@ -11,7 +11,7 @@ import (
 // engine — same rows, same estimates, same ledger Spent() to the mill —
 // because reuseRun's pay shapes its purchases exactly like the compiled
 // plan's collectMeans. Holds on the simulator and the batched remote
-// platform (whose ValueBatch path the memo's pay must mirror).
+// platform (whose batch shape the memo's pay must mirror).
 func TestReuseColdBitEqual(t *testing.T) {
 	st := mustParse(t, "SELECT Calories, Protein WHERE Dessert > 0.5 ORDER BY Protein DESC LIMIT 5")
 	plan := lazyPlan(t, st)

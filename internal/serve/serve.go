@@ -235,18 +235,15 @@ type session struct {
 }
 
 // acquire opens a session: a fork with its own fresh ledger when the
-// platform snapshots (or forks through a wrapper stack via
-// crowd.Forker), the backend itself (ledger swapped in, sessions
-// serialized) otherwise.
+// platform snapshots (or forks through a wrapper stack), the backend
+// itself (ledger swapped in, sessions serialized) otherwise.
 func (b *backend) acquire() *session {
 	if b.snap != nil {
 		f := b.snap.Fork()
 		return &session{platform: f, ledger: f.Ledger(), release: func() {}}
 	}
-	if fk, ok := b.p.(crowd.Forker); ok {
-		if f := fk.ForkPlatform(); f != nil {
-			return &session{platform: f, ledger: f.Ledger(), release: func() {}}
-		}
+	if f := b.p.ForkPlatform(); f != nil {
+		return &session{platform: f, ledger: f.Ledger(), release: func() {}}
 	}
 	b.mu.Lock()
 	ledger := crowd.NewLedger(0)

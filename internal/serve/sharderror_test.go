@@ -11,21 +11,24 @@ import (
 	"repro/internal/domain"
 )
 
-// poisonValue fails every value question about one object. It exposes
-// only the crowd.Platform interface — no snapshot, fork or batch
-// capability — so sessions serialize on the backend mutex and the
-// sequential Value path hits the poison.
+// poisonValue fails every value question about one object. It cannot
+// fork, so sessions serialize on the backend mutex and every value
+// question reaches the poison.
 type poisonValue struct {
 	crowd.Platform
 	objectID int
 }
 
-func (p poisonValue) Value(o *domain.Object, attr string, n int) ([]float64, error) {
-	if o.ID == p.objectID {
-		return nil, fmt.Errorf("poisoned object %d", o.ID)
+func (p poisonValue) Values(qs []crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
+	for _, q := range qs {
+		if q.Object.ID == p.objectID {
+			return nil, fmt.Errorf("poisoned object %d", q.Object.ID)
+		}
 	}
-	return p.Platform.Value(o, attr, n)
+	return p.Platform.Values(qs)
 }
+
+func (p poisonValue) ForkPlatform() crowd.Platform { return nil }
 
 // TestShardErrorKeepsLazyStatsClean is the regression pin for errored
 // scattered lazy sessions: when one shard dies mid-evaluation (and
