@@ -62,13 +62,13 @@ func TestStoppingSavesSpend(t *testing.T) {
 		t.Fatalf("stopping saved nothing: adaptive %v vs fixed %v", adaptiveSpend, fixedSpend)
 	}
 	st := ev.Stats()
-	if st.Saved <= 0 {
-		t.Fatalf("Stats().Saved = %d, want > 0", st.Saved)
+	if st.QuestionsSkipped <= 0 {
+		t.Fatalf("Stats().QuestionsSkipped = %d, want > 0", st.QuestionsSkipped)
 	}
 	if st.Boosted != 0 {
 		t.Fatalf("Stats().Boosted = %d without reallocation", st.Boosted)
 	}
-	t.Logf("online spend: fixed %v, adaptive %v (saved %d questions)", fixedSpend, adaptiveSpend, st.Saved)
+	t.Logf("online spend: fixed %v, adaptive %v (saved %d questions)", fixedSpend, adaptiveSpend, st.QuestionsSkipped)
 }
 
 func TestReallocationNeverExceedsFixedSpend(t *testing.T) {
@@ -98,8 +98,8 @@ func TestReallocationNeverExceedsFixedSpend(t *testing.T) {
 		t.Fatalf("reallocation overspent: adaptive %v > fixed %v", adaptiveSpend, fixedSpend)
 	}
 	st := ev.Stats()
-	if st.Saved < st.Boosted {
-		t.Fatalf("boosted %d questions from only %d saved", st.Boosted, st.Saved)
+	if st.QuestionsSkipped < st.Boosted {
+		t.Fatalf("boosted %d questions from only %d saved", st.Boosted, st.QuestionsSkipped)
 	}
 }
 

@@ -131,7 +131,7 @@ func TestAdaptiveDisabledBitEqualToFixed(t *testing.T) {
 				t.Fatalf("Spent() diverged: adaptive %v != fixed %v", got, fixedSpent)
 			}
 			st := ev.Stats()
-			if st.Saved != 0 || st.Boosted != 0 || st.PoolMills != 0 {
+			if st.QuestionsSkipped != 0 || st.Boosted != 0 || st.PoolMills != 0 {
 				t.Fatalf("disabled mode must not save/boost: %+v", st)
 			}
 		})

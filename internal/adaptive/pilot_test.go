@@ -52,12 +52,12 @@ func TestDefaultsSpendNeverExceedsFixed(t *testing.T) {
 	st := ev.Stats()
 	if adSpend > fixedSpend {
 		t.Errorf("pool invariant violated: adaptive %v > fixed %v (saved %d, boosted %d)",
-			adSpend, fixedSpend, st.Saved, st.Boosted)
+			adSpend, fixedSpend, st.QuestionsSkipped, st.Boosted)
 	}
 	// Pilot objects are fully paid, so only the 4 non-pilot objects can
 	// contribute savings; phantom pilot savings would report far more.
-	if st.Saved > st.Boosted && adSpend >= fixedSpend {
+	if st.QuestionsSkipped > st.Boosted && adSpend >= fixedSpend {
 		t.Errorf("reported net savings (%d saved, %d boosted) with no spend reduction (%v vs %v)",
-			st.Saved, st.Boosted, adSpend, fixedSpend)
+			st.QuestionsSkipped, st.Boosted, adSpend, fixedSpend)
 	}
 }

@@ -45,6 +45,17 @@ type Plan struct {
 // PerObjectCost returns what evaluating one object costs online.
 func (pl *Plan) PerObjectCost() crowd.Cost { return pl.Budget.Cost }
 
+// PerObjectAnswers returns Σ b(a), the answers one object costs online.
+func (pl *Plan) PerObjectAnswers() int64 {
+	var n int64
+	for _, c := range pl.Budget.Counts {
+		if c > 0 {
+			n += int64(c)
+		}
+	}
+	return n
+}
+
 // EstimateObject runs the online phase for one object: ask b(a) value
 // questions per selected attribute, average, and apply each target's
 // regression. The returned map has one estimate per target.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/crowd"
-	"repro/internal/domain"
 	"repro/internal/stats"
 )
 
@@ -101,44 +100,32 @@ func AdaptiveGain(spec AdaptiveSpec) (*AdaptiveGainResult, error) {
 		}
 		q := core.Query{Targets: env.targets, Weights: env.weights}
 
-		runMode := func(adapt bool) (float64, crowd.Cost, adaptive.Stats, error) {
+		// The fixed arm is the evaluator in its disabled mode, which takes
+		// the fixed-budget path (core.Plan.EstimateObject) itself.
+		runMode := func(cfg adaptive.Config) (float64, crowd.Cost, adaptive.Stats, error) {
 			fork := env.snap.Fork()
 			plat := spec.Platform.wrap(fork, seed)
 			plan, err := core.Preprocess(plat, q, spec.BObj, spec.BPrc, core.Options{})
 			if err != nil {
 				return 0, 0, adaptive.Stats{}, err
 			}
-			estimate := func(o *domain.Object) (map[string]float64, error) {
-				return plan.EstimateObject(plat, o)
-			}
-			var ev *adaptive.Evaluator
-			if adapt {
-				ev, err = adaptive.New(plat, plan, spec.Config)
-				if err != nil {
-					return 0, 0, adaptive.Stats{}, err
-				}
-				if err := ev.Calibrate(env.evalObjs); err != nil {
-					return 0, 0, adaptive.Stats{}, err
-				}
-				estimate = ev.Estimate
-			}
-			werr, err := WeightedErrorFunc(env.evalObjs, env.targets, env.weights, env.truths, par, estimate)
+			ev, err := adaptive.New(plat, plan, cfg)
 			if err != nil {
 				return 0, 0, adaptive.Stats{}, err
 			}
-			var ast adaptive.Stats
-			if ev != nil {
-				ast = ev.Stats()
+			if err := ev.Calibrate(env.evalObjs); err != nil {
+				return 0, 0, adaptive.Stats{}, err
 			}
-			return werr, fork.Ledger().Spent(), ast, nil
+			werr, err := WeightedErrorFunc(env.evalObjs, env.targets, env.weights, env.truths, par, ev.Estimate)
+			return werr, fork.Ledger().Spent(), ev.Stats(), err
 		}
 
-		ef, sf, _, err := runMode(false)
+		ef, sf, _, err := runMode(adaptive.Disabled())
 		if err != nil {
 			outs[rep] = repRes{err: fmt.Errorf("fixed: %w", err)}
 			return
 		}
-		ea, sa, ast, err := runMode(true)
+		ea, sa, ast, err := runMode(spec.Config)
 		if err != nil {
 			outs[rep] = repRes{err: fmt.Errorf("adaptive: %w", err)}
 			return
@@ -146,7 +133,7 @@ func AdaptiveGain(spec AdaptiveSpec) (*AdaptiveGainResult, error) {
 		outs[rep] = repRes{
 			errFixed: ef, errAdapt: ea,
 			spendFixed: sf, spendAdapt: sa,
-			saved: ast.Saved, boosted: ast.Boosted,
+			saved: ast.QuestionsSkipped, boosted: ast.Boosted,
 		}
 	})
 

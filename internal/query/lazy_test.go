@@ -136,7 +136,7 @@ func TestLazyFullBitEqualToEager(t *testing.T) {
 			if gotSpent := lazy.ledger.Spent(); gotSpent != wantSpent {
 				t.Fatalf("Spent() diverged: lazy %v != eager %v", gotSpent, wantSpent)
 			}
-			stats := engL.LazyStats()
+			stats := engL.Stats()
 			if stats.Objects != int64(len(lazy.objects)) || stats.QuestionsSkipped != 0 {
 				t.Fatalf("full mode stats: %+v", stats)
 			}
@@ -184,7 +184,7 @@ func TestLazyExactShortCircuitSameRows(t *testing.T) {
 			if gotSpent > wantSpent {
 				t.Fatalf("lazy spend %v above eager %v", gotSpent, wantSpent)
 			}
-			stats := engL.LazyStats()
+			stats := engL.Stats()
 			if stats.ObjectsShortCircuited == 0 {
 				t.Fatalf("no short-circuiting happened: %+v", stats)
 			}
@@ -226,7 +226,7 @@ func TestLazyTopKPruneSameRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRows(t, got, want, "topk prune")
-	if stats := engL.LazyStats(); stats.ObjectsPruned == 0 {
+	if stats := engL.Stats(); stats.ObjectsPruned == 0 {
 		t.Fatalf("no pruning happened: %+v", stats)
 	}
 	if gotSpent := lazy.ledger.Spent(); gotSpent > wantSpent {
@@ -273,7 +273,7 @@ func TestLazyConfidenceEarlyTermination(t *testing.T) {
 		perObject += n
 	}
 
-	run := func() ([]query.ResultRow, query.LazyStats, crowd.Cost) {
+	run := func() ([]query.ResultRow, query.Stats, crowd.Cost) {
 		env := lazyFlavors(t)["sim"]()
 		eng, err := query.NewEngine(env.platform, plan, st)
 		if err != nil {
@@ -284,7 +284,7 @@ func TestLazyConfidenceEarlyTermination(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows, eng.LazyStats(), env.ledger.Spent()
+		return rows, eng.Stats(), env.ledger.Spent()
 	}
 	rows, stats, spent := run()
 	if stats.Objects != 24 {

@@ -45,7 +45,7 @@ func TestReuseColdBitEqual(t *testing.T) {
 			if gotSpent := cold.ledger.Spent(); gotSpent != wantSpent {
 				t.Fatalf("cold Spent() diverged: reuse %v != plain %v", gotSpent, wantSpent)
 			}
-			if rs := engC.ReuseStats(); rs.AnswersReused != 0 || rs.SpendSavedMills != 0 {
+			if rs := engC.Stats(); rs.AnswersReused != 0 || rs.SpendSavedMills != 0 {
 				t.Fatalf("cold run reported reuse: %+v", rs)
 			}
 			if memo.Len() == 0 {
@@ -105,7 +105,7 @@ func TestReuseWarmBitEqualLowerSpend(t *testing.T) {
 			if gotSpent >= wantSpent {
 				t.Fatalf("warm spend %v not below cold %v", gotSpent, wantSpent)
 			}
-			rs := eng2.ReuseStats()
+			rs := eng2.Stats()
 			if rs.AnswersReused == 0 {
 				t.Fatalf("warm run reused nothing: %+v", rs)
 			}
@@ -182,7 +182,7 @@ func TestReuseLazyPeekTurnsApproximateExact(t *testing.T) {
 			if warmSpent >= coldSpent {
 				t.Fatalf("warm lazy spend %v not below cold lazy %v", warmSpent, coldSpent)
 			}
-			rs := engL.ReuseStats()
+			rs := engL.Stats()
 			if rs.AnswersReused == 0 || rs.SpendSavedMills == 0 {
 				t.Fatalf("warm lazy run reused nothing: %+v", rs)
 			}
@@ -211,7 +211,7 @@ func TestReuseLazyFullPinned(t *testing.T) {
 			}
 			wantSpent := plain.ledger.Spent()
 
-			run := func(memo query.AnswerMemo) (spent int64, ls query.LazyStats, rs query.ReuseStats) {
+			run := func(memo query.AnswerMemo) (spent int64, ls, rs query.Stats) {
 				env := build()
 				defer env.cleanup()
 				eng, err := query.NewEngine(env.platform, plan, st)
@@ -225,7 +225,7 @@ func TestReuseLazyFullPinned(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameRows(t, got, want, "lazy-full reuse")
-				return int64(env.ledger.Spent()), eng.LazyStats(), eng.ReuseStats()
+				return int64(env.ledger.Spent()), eng.Stats(), eng.Stats()
 			}
 
 			memo := query.NewMapMemo()

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/domain"
@@ -14,14 +13,10 @@ import (
 
 // shardOutcome is one shard's contribution to a scattered session.
 type shardOutcome struct {
-	rows       []query.ResultRow
-	spent      crowd.Cost
-	asked      int64
-	saved      int64
-	pruned     int64
-	skipped    int64
-	reused     int64
-	savedMills int64
+	rows  []query.ResultRow
+	spent crowd.Cost
+	asked int64
+	stats query.Stats
 }
 
 // executeSharded is the scatter-gather path of Tier.Execute: the
@@ -45,53 +40,13 @@ func (t *Tier) executeSharded(req Request, st *query.Statement, objs []*domain.O
 	// backend, then release the build session before scattering — on a
 	// mutex-serialized backend, holding it here would deadlock the
 	// shards that need to acquire it below.
-	affinity := t.cache.builder(key)
-	idx := t.router.Pick(t.backends, key, affinity)
-	if idx < 0 || idx >= len(t.backends) {
-		idx = 0
-	}
+	idx := t.route(key)
 	home := t.backends[idx]
 	buildSess := home.acquire()
-	plan, hit, err := t.cache.getOrBuild(key, idx, func() (*core.Plan, error) {
-		home.load.startBuild()
-		defer home.load.endBuild()
-		return core.Preprocess(buildSess.platform, st.Query(), bObj, bPrc, t.opts)
-	})
+	plan, hit, err := t.plan(key, idx, home, buildSess, st, bObj, bPrc, cm)
 	buildSess.release()
 	if err != nil {
-		cm.errors.Add(1)
 		return nil, err
-	}
-	if hit {
-		cm.cacheHits.Add(1)
-	} else {
-		cm.cacheMisses.Add(1)
-	}
-
-	var acfg *adaptive.Config
-	if req.Adaptive {
-		acfg = t.adaptive
-		if acfg == nil {
-			d := adaptive.Defaults()
-			acfg = &d
-		}
-	}
-	var lcfg *query.LazyConfig
-	if req.Lazy {
-		lcfg = t.lazyConfig()
-	}
-	// One shared memo serves every shard: the replicas' deterministic
-	// answer streams make a mean cached by one shard bit-identical to
-	// what any other would have bought, so overlapping evaluation sets
-	// across sessions stop being re-purchased per replica.
-	var memo query.AnswerMemo
-	if t.reuseOn(req) {
-		memo = t.answers.memoFor(t.domain)
-		cm.reuseSessions.Add(1)
-	}
-	planQs := 0
-	if qs, qerr := plan.Questions(); qerr == nil {
-		planQs = len(qs)
 	}
 
 	// Scatter: one goroutine per non-empty shard, round-robin over the
@@ -114,7 +69,7 @@ func (t *Tier) executeSharded(req Request, st *query.Statement, objs []*domain.O
 		wg.Add(1)
 		go func(s int, sb *backend, shardObjs []*domain.Object) {
 			defer wg.Done()
-			outs[s], errs[s] = t.runShard(sb, plan, st, shardObjs, planQs, acfg, lcfg, memo)
+			outs[s], errs[s] = t.runShard(sb, plan, st, shardObjs, req)
 		}(s, sb, shardObjs)
 	}
 	wg.Wait()
@@ -143,99 +98,25 @@ func (t *Tier) executeSharded(req Request, st *query.Statement, objs []*domain.O
 		merged = query.MergeRows(rank, shardRows...)
 	}
 
-	out := &Result{
-		Rows:           make([]Row, len(merged)),
-		CacheHit:       hit,
-		Backend:        home.name,
-		PreprocessCost: plan.PreprocessCost,
-		Adaptive:       req.Adaptive,
-		Lazy:           req.Lazy,
-		Shards:         shards,
-	}
-	var asked int64
-	for s := range outs {
-		out.OnlineSpent += outs[s].spent
-		out.QuestionsSaved += outs[s].saved
-		out.ObjectsPruned += outs[s].pruned
-		out.QuestionsSkipped += outs[s].skipped
-		out.AnswersReused += outs[s].reused
-		out.SpendSavedMills += outs[s].savedMills
-		asked += outs[s].asked
-	}
-	for i, r := range merged {
-		out.Rows[i] = resultRow(st, r)
-	}
-	out.Latency = t.metrics.now().Sub(start)
-	if req.Adaptive {
-		cm.adaptiveSessions.Add(1)
-		cm.questionsSaved.Add(out.QuestionsSaved)
-	}
-	if req.Lazy {
-		cm.lazySessions.Add(1)
-		cm.objectsPruned.Add(out.ObjectsPruned)
-		cm.questionsSkipped.Add(out.QuestionsSkipped)
-	}
-	if memo != nil {
-		out.Reuse = true
-		cm.answersReused.Add(out.AnswersReused)
-		cm.spendSavedMills.Add(out.SpendSavedMills)
-	}
 	cm.shardedSessions.Add(1)
-	cm.observe(out.Latency, out.OnlineSpent, asked)
-	return out, nil
+	return t.result(req, st, plan, hit, home.name, merged, outs, cm, start), nil
 }
 
 // runShard evaluates one object partition on a private session of its
-// backend, reporting the rows and what they cost.
+// backend. Every shard shares the tier's one answer memo: the replicas'
+// deterministic answer streams make a mean cached by one shard
+// bit-identical to what any other would have bought. Adaptive
+// calibration and reallocation are scoped to the shard's partition — the
+// sharded adaptive path trades the tier-wide savings pool for
+// parallelism and is not bit-pinned. Lazy evaluation is per-object, so
+// shard-local runs compose exactly: top-k pruning only tightens within a
+// shard, and the ordered gather restores the global order from the
+// local top-k's.
 func (t *Tier) runShard(sb *backend, plan *core.Plan, st *query.Statement,
-	shardObjs []*domain.Object, planQs int, acfg *adaptive.Config, lcfg *query.LazyConfig,
-	memo query.AnswerMemo) (shardOutcome, error) {
+	shardObjs []*domain.Object, req Request) (shardOutcome, error) {
 	sb.load.startSession()
 	defer sb.load.endSession()
 	sess := sb.acquire()
 	defer sess.release()
-	if planQs > 0 {
-		n := int64(planQs * len(shardObjs))
-		sb.load.addQuestions(n)
-		defer sb.load.addQuestions(-n)
-	}
-	engine, err := query.NewEngine(sess.platform, plan, st)
-	if err != nil {
-		return shardOutcome{}, err
-	}
-	if acfg != nil {
-		// Adaptive calibration and reallocation are scoped to the shard's
-		// partition — the sharded adaptive path trades the tier-wide
-		// savings pool for parallelism and is not bit-pinned.
-		engine.SetAdaptive(acfg)
-	}
-	if lcfg != nil {
-		// Lazy evaluation is per-object, so shard-local runs compose
-		// exactly: top-k pruning only tightens within a shard, and the
-		// ordered gather restores the global order from the local top-k's.
-		engine.SetLazy(lcfg)
-	}
-	if memo != nil {
-		engine.SetReuse(memo)
-	}
-	rows, err := engine.Execute(st, shardObjs)
-	if err != nil {
-		return shardOutcome{}, err
-	}
-	o := shardOutcome{rows: rows, spent: sess.ledger.Spent(), asked: questionsAsked(sess.ledger)}
-	if acfg != nil {
-		o.saved = engine.AdaptiveStats().Saved
-	}
-	if lcfg != nil {
-		ls := engine.LazyStats()
-		o.pruned = ls.ObjectsPruned
-		o.skipped = ls.QuestionsSkipped
-	}
-	if memo != nil {
-		rs := engine.ReuseStats()
-		o.reused = rs.AnswersReused
-		o.savedMills = rs.SpendSavedMills
-	}
-	sb.load.noteAnswered(o.asked)
-	return o, nil
+	return t.evaluate(sb, sess, plan, st, shardObjs, req)
 }
