@@ -336,9 +336,11 @@ type (
 	// AdaptiveConfig tunes the adaptive online evaluator.
 	AdaptiveConfig = adaptive.Config
 	// AdaptiveEvaluator evaluates plan objects with adaptive per-object
-	// spend; with stopping disabled it replays the fixed path bit-for-bit.
+	// spend; with stopping disabled it takes the fixed path itself.
 	AdaptiveEvaluator = adaptive.Evaluator
-	// AdaptiveStats counts an evaluator's asked/saved/boosted questions.
+	// AdaptiveStats is the online phase's one counter record (asked,
+	// skipped, boosted, reused, pruned questions), returned by both
+	// AdaptiveEvaluator.Stats and QueryEngine.Stats.
 	AdaptiveStats = adaptive.Stats
 )
 
@@ -346,7 +348,7 @@ type (
 func AdaptiveDefaults() AdaptiveConfig { return adaptive.Defaults() }
 
 // AdaptiveDisabled is the determinism-pinned tuning: the evaluator
-// replays the fixed-budget path exactly.
+// takes the fixed-budget path, one exchange per object.
 func AdaptiveDisabled() AdaptiveConfig { return adaptive.Disabled() }
 
 // NewAdaptiveEvaluator builds an adaptive evaluator over a preprocessed
