@@ -20,17 +20,22 @@ const maxBatchItems = 1024
 type (
 	// batchItem is one question of a batch. Kind selects the question
 	// type ("value", "examples", "meta", "canonical") and which of the
-	// remaining fields apply; the field meanings match the corresponding
-	// single-question endpoints. Dismantle/verify are deliberately not
+	// remaining fields apply. Dismantle/verify are deliberately not
 	// batchable: their stream semantics drive the sequential discovery
 	// loop and gain nothing from coalescing.
 	batchItem struct {
-		Kind      string   `json:"kind"`
+		Kind      string   `json:"kind,omitempty"`
 		ObjectID  int      `json:"object_id,omitempty"`
 		Attribute string   `json:"attribute,omitempty"`
-		N         int      `json:"n,omitempty"`
 		Targets   []string `json:"targets,omitempty"`
+		N         int      `json:"n,omitempty"`
 		Name      string   `json:"name,omitempty"`
+	}
+	// questionRequest is the body of a single-question endpoint: one
+	// batch item whose kind the path names.
+	questionRequest struct {
+		idemKey
+		batchItem
 	}
 	batchRequest struct {
 		idemKey
@@ -38,7 +43,7 @@ type (
 	}
 	// batchItemResult is exactly one of: an error (with its retryability
 	// classification, mirroring statusFor), or the payload of the item's
-	// kind.
+	// kind. A single-question endpoint answers with the payload alone.
 	batchItemResult struct {
 		Error     string        `json:"error,omitempty"`
 		Transient bool          `json:"transient,omitempty"`
@@ -51,6 +56,15 @@ type (
 		Items []batchItemResult `json:"items"`
 	}
 )
+
+// questionPaths maps each batchable question kind to its single-question
+// endpoint.
+var questionPaths = map[string]string{
+	"value":     PathValue,
+	"examples":  PathExamples,
+	"meta":      PathMeta,
+	"canonical": PathCanonical,
+}
 
 // batchSubKey derives the per-item idempotency key of batch item i. Items
 // record individually under these sub-keys as they succeed, so a batch
@@ -113,7 +127,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	core.ForEach(len(todo), 0, func(k int) {
-		results[todo[k]] = s.executeItem(req.Items[todo[k]])
+		res, err := s.execute(req.Items[todo[k]])
+		if err != nil {
+			res = batchItemResult{Error: err.Error(), Transient: errors.Is(err, crowd.ErrTransient)}
+		}
+		results[todo[k]] = res
 	})
 
 	if req.IdempotencyKey != "" {
@@ -131,28 +149,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, batchResponse{Items: results})
 }
 
-// executeItem runs one batch item against the platform, classifying
-// failures with the same transient-vs-terminal contract statusFor gives
-// the single-question endpoints.
-func (s *Server) executeItem(it batchItem) batchItemResult {
-	fail := func(err error) batchItemResult {
-		return batchItemResult{Error: err.Error(), Transient: errors.Is(err, crowd.ErrTransient)}
+// execute answers one question against the platform, for a /v1/batch
+// item and a single-question endpoint alike; statusFor classifies its
+// errors.
+func (s *Server) execute(it batchItem) (batchItemResult, error) {
+	if err := checkN(it.N); err != nil {
+		return batchItemResult{}, err
 	}
 	switch it.Kind {
 	case "value":
 		obj, ok := s.lookupObject(it.ObjectID)
 		if !ok {
-			return fail(fmt.Errorf("crowdhttp: unknown object %d", it.ObjectID))
+			return batchItemResult{}, fmt.Errorf("%w %d", errUnknownObject, it.ObjectID)
 		}
 		answers, err := crowd.Value(s.platform, obj, it.Attribute, it.N)
-		if err != nil {
-			return fail(err)
-		}
-		return batchItemResult{Answers: answers}
+		return batchItemResult{Answers: answers}, err
 	case "examples":
 		examples, err := s.platform.Examples(it.Targets, it.N)
 		if err != nil {
-			return fail(err)
+			return batchItemResult{}, err
 		}
 		out := make([]exampleWire, len(examples))
 		s.mu.Lock()
@@ -161,16 +176,16 @@ func (s *Server) executeItem(it batchItem) batchItemResult {
 			out[i] = exampleWire{ObjectID: ex.Object.ID, Values: ex.Values}
 		}
 		s.mu.Unlock()
-		return batchItemResult{Examples: out}
+		return batchItemResult{Examples: out}, nil
 	case "meta":
 		return batchItemResult{Meta: &metaResponse{
 			Sigma:  s.platform.Sigma(it.Attribute),
 			Binary: s.platform.IsBinary(it.Attribute),
-		}}
+		}}, nil
 	case "canonical":
-		return batchItemResult{Canonical: s.platform.Canonical(it.Name)}
+		return batchItemResult{Canonical: s.platform.Canonical(it.Name)}, nil
 	default:
-		return fail(fmt.Errorf("crowdhttp: unknown batch item kind %q", it.Kind))
+		return batchItemResult{}, fmt.Errorf("crowdhttp: unknown batch item kind %q", it.Kind)
 	}
 }
 

@@ -150,7 +150,7 @@ func TestBatchSubKeysApartFromRequestKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var vr valueResponse
+	var vr batchItemResult
 	if err := json.NewDecoder(resp.Body).Decode(&vr); err != nil {
 		t.Fatal(err)
 	}

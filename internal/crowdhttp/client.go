@@ -131,12 +131,13 @@ type Client struct {
 
 	ledger atomic.Pointer[crowd.Ledger]
 
-	// mu guards the answer/example caches and their key-lock tables.
+	// mu guards the answer/example caches; the key locks serialize the
+	// callers of one value question or example stream.
 	mu           sync.Mutex
 	values       map[valueKey][]float64
 	examples     map[string][]crowd.Example
-	valueLocks   map[valueKey]*sync.Mutex
-	exampleLocks map[string]*sync.Mutex
+	valueLocks   keyLocks[valueKey]
+	exampleLocks keyLocks[string]
 
 	// metaMu guards the read-mostly metadata caches; lookups take only a
 	// read lock so concurrent value questions never serialize on them.
@@ -181,16 +182,14 @@ func NewClientWithOptions(baseURL string, httpClient *http.Client, opts Options)
 		httpClient = http.DefaultClient
 	}
 	c := &Client{
-		base:         strings.TrimRight(baseURL, "/"),
-		http:         httpClient,
-		opts:         opts.withDefaults(),
-		idemBase:     newIdemBase(),
-		values:       make(map[valueKey][]float64),
-		examples:     make(map[string][]crowd.Example),
-		valueLocks:   make(map[valueKey]*sync.Mutex),
-		exampleLocks: make(map[string]*sync.Mutex),
-		meta:         make(map[string]metaResponse),
-		canon:        make(map[string]string),
+		base:     strings.TrimRight(baseURL, "/"),
+		http:     httpClient,
+		opts:     opts.withDefaults(),
+		idemBase: newIdemBase(),
+		values:   make(map[valueKey][]float64),
+		examples: make(map[string][]crowd.Example),
+		meta:     make(map[string]metaResponse),
+		canon:    make(map[string]string),
 	}
 	c.ledger.Store(crowd.NewLedger(0))
 	return c
@@ -364,7 +363,7 @@ func (c *Client) metaOf(attr string) (metaResponse, error) {
 	if ok {
 		return m, nil
 	}
-	if err := c.post(PathMeta, &metaRequest{Attribute: attr}, &m); err != nil {
+	if err := c.post(PathMeta, &questionRequest{batchItem: batchItem{Attribute: attr}}, &m); err != nil {
 		return metaResponse{}, err
 	}
 	c.metaMu.Lock()
@@ -387,8 +386,8 @@ func (c *Client) canonicalName(name string) (string, error) {
 	if ok {
 		return canon, nil
 	}
-	var resp canonicalResponse
-	if err := c.post(PathCanonical, &canonicalRequest{Name: name}, &resp); err != nil {
+	var resp batchItemResult
+	if err := c.post(PathCanonical, &questionRequest{batchItem: batchItem{Name: name}}, &resp); err != nil {
 		return "", err
 	}
 	c.metaMu.Lock()
@@ -397,119 +396,253 @@ func (c *Client) canonicalName(name string) (string, error) {
 	return resp.Canonical, nil
 }
 
-// lockValueKey serializes callers of one value-question key; the lock
-// entry lives exactly as long as the cache entry it guards.
-func (c *Client) lockValueKey(k valueKey) func() {
-	c.mu.Lock()
-	lk := c.valueLocks[k]
+// keyLocks is a table of per-key mutexes. An entry is never removed: it
+// lives exactly as long as the cache entry it guards.
+type keyLocks[K comparable] struct {
+	mu sync.Mutex
+	m  map[K]*sync.Mutex
+}
+
+// lock acquires k's mutex and returns its unlock.
+func (t *keyLocks[K]) lock(k K) func() {
+	t.mu.Lock()
+	if t.m == nil {
+		t.m = make(map[K]*sync.Mutex)
+	}
+	lk := t.m[k]
 	if lk == nil {
 		lk = new(sync.Mutex)
-		c.valueLocks[k] = lk
+		t.m[k] = lk
 	}
-	c.mu.Unlock()
+	t.mu.Unlock()
 	lk.Lock()
 	return lk.Unlock
 }
 
-// lockExampleKey serializes callers of one example stream.
-func (c *Client) lockExampleKey(k string) func() {
+// Values implements crowd.Platform with one discipline for every batch
+// size: lock every distinct question key in sorted order (so concurrent
+// batches cannot deadlock), reserve the cost of every cache-missing
+// answer up front, fetch, then commit — or, on any terminal failure,
+// release the whole reservation and fail the call. The key locks make
+// cache-check + charge + fetch one critical section, so concurrent
+// callers of one question never both pay, while distinct questions
+// proceed in parallel.
+//
+// A lone question is fetched over /v1/value. A larger batch — one
+// object's online questions, or one attribute sampled across a whole
+// example stream in statistics collection — goes into the coalescer,
+// where concurrent callers' questions merge into shared /v1/batch
+// requests; an item that fails transiently or comes back short is
+// re-asked alone over /v1/value. The answers are byte-identical either
+// way, since the server memoizes per question identity. The client
+// cannot tell who answered, so Workers stays nil.
+func (c *Client) Values(qs []crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
+	for _, q := range qs {
+		if q.Object == nil {
+			return nil, errors.New("crowdhttp: nil object")
+		}
+		if q.N < 0 {
+			return nil, fmt.Errorf("crowdhttp: negative answer count %d", q.N)
+		}
+	}
+	if len(qs) == 0 {
+		return []crowd.ValueAnswers{}, nil
+	}
+
+	batched := len(qs) > 1
+	preparing := batched
+	if batched {
+		c.batchEnter()
+		defer func() {
+			if preparing {
+				c.batchLeave()
+			}
+		}()
+	}
+
+	canon := make([]string, len(qs))
+	for i, q := range qs {
+		ct, err := c.canonicalName(q.Attr)
+		if err != nil {
+			return nil, fmt.Errorf("crowdhttp: canonicalizing %q: %w", q.Attr, err)
+		}
+		canon[i] = ct
+	}
+	// Distinct question keys with the longest prefix each needs.
+	need := make(map[valueKey]int, len(qs))
+	for i, q := range qs {
+		k := valueKey{objID: q.Object.ID, attr: canon[i]}
+		if q.N > need[k] {
+			need[k] = q.N
+		}
+	}
+	keys := make([]valueKey, 0, len(need))
+	for k := range need {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].objID != keys[j].objID {
+			return keys[i].objID < keys[j].objID
+		}
+		return keys[i].attr < keys[j].attr
+	})
+
+	unlocks := make([]func(), 0, len(keys))
+	defer func() {
+		for i := len(unlocks) - 1; i >= 0; i-- {
+			unlocks[i]()
+		}
+	}()
+	for _, k := range keys {
+		unlocks = append(unlocks, c.valueLocks.lock(k))
+	}
+
 	c.mu.Lock()
-	lk := c.exampleLocks[k]
-	if lk == nil {
-		lk = new(sync.Mutex)
-		c.exampleLocks[k] = lk
+	cachedLen := make(map[valueKey]int, len(keys))
+	for _, k := range keys {
+		cachedLen[k] = len(c.values[k])
 	}
 	c.mu.Unlock()
-	lk.Lock()
-	return lk.Unlock
-}
-
-// value answers one question over /v1/value: local cache first, then
-// charge the ledger for the missing answers and fetch the full prefix
-// remotely. The per-key lock makes cache-check + charge + fetch one
-// critical section, so two concurrent callers of the same question never
-// both pay; the reservation is released (refunded) if the request fails.
-func (c *Client) value(o *domain.Object, attr string, n int) ([]float64, error) {
-	if o == nil {
-		return nil, errors.New("crowdhttp: nil object")
+	var miss []*pendingItem
+	for _, k := range keys {
+		if cachedLen[k] < need[k] {
+			m := &pendingItem{item: batchItem{Kind: "value", ObjectID: k.objID, Attribute: k.attr, N: need[k]}}
+			if batched {
+				m.done = make(chan batchOutcome, 1)
+			}
+			miss = append(miss, m)
+		}
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("crowdhttp: negative answer count %d", n)
-	}
-	canon, err := c.canonicalName(attr)
-	if err != nil {
-		return nil, fmt.Errorf("crowdhttp: canonicalizing %q: %w", attr, err)
-	}
-	key := valueKey{objID: o.ID, attr: canon}
 
-	unlock := c.lockValueKey(key)
-	defer unlock()
-
-	c.mu.Lock()
-	cached := len(c.values[key])
-	c.mu.Unlock()
-	if cached < n {
+	if len(miss) > 0 {
 		pricing, err := c.fetchPricing()
 		if err != nil {
 			return nil, err
 		}
-		m, err := c.metaOf(canon)
-		if err != nil {
-			return nil, err
+		// Reserve every missing answer before asking, one reservation per
+		// question kind; all-or-nothing, released in full on failure, so
+		// Spent() only ever reflects answers that actually arrived.
+		var nBinary, nNumeric int
+		for _, m := range miss {
+			meta, err := c.metaOf(m.item.Attribute)
+			if err != nil {
+				return nil, err
+			}
+			n := m.item.N - cachedLen[valueKey{objID: m.item.ObjectID, attr: m.item.Attribute}]
+			if meta.Binary {
+				nBinary += n
+			} else {
+				nNumeric += n
+			}
 		}
-		price := pricing.NumericValue
-		kind := crowd.NumericValue
-		if m.Binary {
-			price = pricing.BinaryValue
-			kind = crowd.BinaryValue
+		var resBin, resNum *crowd.Reservation
+		if nBinary > 0 {
+			if resBin, err = c.ledgerRef().Reserve(crowd.BinaryValue, pricing.BinaryValue, nBinary); err != nil {
+				return nil, err
+			}
 		}
-		// Reserve exactly the new answers before asking; a failed request
-		// returns the reservation, so Spent() only ever reflects answers
-		// that actually arrived.
-		res, err := c.ledgerRef().Reserve(kind, price, n-cached)
-		if err != nil {
-			return nil, err
+		if nNumeric > 0 {
+			if resNum, err = c.ledgerRef().Reserve(crowd.NumericValue, pricing.NumericValue, nNumeric); err != nil {
+				resBin.Release()
+				return nil, err
+			}
 		}
-		resp, err := c.fetchValues(o.ID, canon, n)
-		if err != nil {
-			res.Release()
-			return nil, err
+
+		if batched {
+			c.enqueueBatch(miss)
+			preparing = false
+			c.batchLeave()
 		}
-		// Copy out of the decoded body: aliasing resp.Answers would pin
-		// the whole decoded slice for the cache's lifetime.
-		vals := make([]float64, n)
-		copy(vals, resp.Answers[:n])
+		fetched := make([][]float64, len(miss))
+		var termErr error
+		for i, m := range miss {
+			var first *batchItemResult
+			if batched {
+				// Every outcome is awaited before the keys unlock, even
+				// after a failure, so no question stays in flight unowned.
+				out := <-m.done
+				if termErr == nil {
+					termErr = out.err
+				}
+				first = &out.res
+			}
+			if termErr != nil {
+				continue
+			}
+			res, err := c.ask(m.item, first)
+			if err != nil {
+				termErr = err
+				continue
+			}
+			fetched[i] = res.Answers[:m.item.N]
+		}
+		if termErr != nil {
+			resBin.Release()
+			resNum.Release()
+			return nil, termErr
+		}
 		c.mu.Lock()
-		c.values[key] = vals
+		for i, m := range miss {
+			// Right-sized copy, never aliasing the decoded response.
+			vals := make([]float64, len(fetched[i]))
+			copy(vals, fetched[i])
+			c.values[valueKey{objID: m.item.ObjectID, attr: m.item.Attribute}] = vals
+		}
 		c.mu.Unlock()
-		res.Commit()
+		resBin.Commit()
+		resNum.Commit()
 	}
+
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]float64, n)
-	copy(out, c.values[key][:n])
+	out := make([]crowd.ValueAnswers, len(qs))
+	for i, q := range qs {
+		vals := c.values[valueKey{objID: q.Object.ID, attr: canon[i]}]
+		out[i].Values = make([]float64, q.N)
+		copy(out[i].Values, vals[:q.N])
+	}
 	return out, nil
 }
 
-// fetchValues POSTs the value question, re-asking with a fresh
-// idempotency key when the server returns a short batch (a fresh key is
-// required: replaying the old one would return the same short body; and
-// re-execution is safe because value answers are cached server-side).
-func (c *Client) fetchValues(objID int, canon string, n int) (valueResponse, error) {
-	for attempt := 0; ; attempt++ {
-		var resp valueResponse
-		if err := c.post(PathValue, &valueRequest{ObjectID: objID, Attribute: canon, N: n}, &resp); err != nil {
-			return valueResponse{}, err
+// ask settles one value or example question. first is the question's
+// /v1/batch result, or nil when it is asked alone. A question asked
+// alone, or whose batch result failed transiently or came back short, is
+// posted to its single-question endpoint, and re-posted under a fresh
+// idempotency key while the answer stays short: replaying the old key
+// would return the same short body, and re-execution is safe because the
+// server memoizes answers and example streams.
+func (c *Client) ask(it batchItem, first *batchItemResult) (batchItemResult, error) {
+	path := questionPaths[it.Kind]
+	res, posts := first, 0
+	for {
+		if res == nil {
+			req := &questionRequest{batchItem: it}
+			req.Kind = "" // the path names the kind
+			res = new(batchItemResult)
+			if err := c.post(path, req, res); err != nil {
+				return batchItemResult{}, err
+			}
+			posts++
 		}
-		if len(resp.Answers) >= n {
-			return resp, nil
+		got := len(res.Answers) + len(res.Examples)
+		switch {
+		case res.Error != "" && !res.Transient:
+			return batchItemResult{}, fmt.Errorf("crowdhttp: %s: %s", PathBatch, res.Error)
+		case res.Error != "":
+			c.transientErrs.Add(1)
+		case got >= it.N:
+			return *res, nil
+		default:
+			c.shortResponses.Add(1)
 		}
-		c.shortResponses.Add(1)
-		if attempt >= c.opts.MaxRetries {
-			return valueResponse{}, fmt.Errorf("crowdhttp: server returned %d answers, want %d (after %d attempts)",
-				len(resp.Answers), n, attempt+1)
+		if posts > c.opts.MaxRetries {
+			return batchItemResult{}, fmt.Errorf("crowdhttp: %s returned %d of the %d asked (after %d attempts)",
+				path, got, it.N, posts)
 		}
-		c.retries.Add(1)
+		if posts > 0 {
+			c.retries.Add(1)
+		}
+		res = nil
 	}
 }
 
@@ -574,7 +707,7 @@ func (c *Client) Examples(targets []string, n int) ([]crowd.Example, error) {
 	sort.Strings(sorted)
 	streamKey := strings.Join(sorted, "\x00")
 
-	unlock := c.lockExampleKey(streamKey)
+	unlock := c.exampleLocks.lock(streamKey)
 	defer unlock()
 
 	c.mu.Lock()
@@ -585,50 +718,30 @@ func (c *Client) Examples(targets []string, n int) ([]crowd.Example, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := c.ledgerRef().Reserve(crowd.ExampleQuestion, pricing.Example, n-cached)
+		rsv, err := c.ledgerRef().Reserve(crowd.ExampleQuestion, pricing.Example, n-cached)
 		if err != nil {
 			return nil, err
 		}
-		resp, err := c.fetchExamples(canon, n)
+		res, err := c.ask(batchItem{Kind: "examples", Targets: canon, N: n}, nil)
 		if err != nil {
-			res.Release()
+			rsv.Release()
 			return nil, err
 		}
 		// Right-sized copy: never alias the decoded response slice.
 		stream := make([]crowd.Example, n)
-		for i, ex := range resp.Examples[:n] {
+		for i, ex := range res.Examples[:n] {
 			stream[i] = crowd.Example{Object: domain.RefObject(ex.ObjectID), Values: ex.Values}
 		}
 		c.mu.Lock()
 		c.examples[streamKey] = stream
 		c.mu.Unlock()
-		res.Commit()
+		rsv.Commit()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]crowd.Example, n)
 	copy(out, c.examples[streamKey][:n])
 	return out, nil
-}
-
-// fetchExamples POSTs the example question, re-asking short batches with
-// a fresh idempotency key (safe: example streams are cached server-side).
-func (c *Client) fetchExamples(canon []string, n int) (examplesResponse, error) {
-	for attempt := 0; ; attempt++ {
-		var resp examplesResponse
-		if err := c.post(PathExamples, &examplesRequest{Targets: canon, N: n}, &resp); err != nil {
-			return examplesResponse{}, err
-		}
-		if len(resp.Examples) >= n {
-			return resp, nil
-		}
-		c.shortResponses.Add(1)
-		if attempt >= c.opts.MaxRetries {
-			return examplesResponse{}, fmt.Errorf("crowdhttp: server returned %d examples, want %d (after %d attempts)",
-				len(resp.Examples), n, attempt+1)
-		}
-		c.retries.Add(1)
-	}
 }
 
 // Canonical implements crowd.Platform. The interface offers no error

@@ -1,12 +1,8 @@
 package crowdhttp
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"time"
-
-	"repro/internal/crowd"
 )
 
 // pendingItem is one question waiting in the coalescer. The outcome
@@ -120,207 +116,4 @@ func (c *Client) sendBatch(items []*pendingItem) {
 			}
 		}
 	}
-}
-
-// Values implements crowd.Platform. A batch of one goes down the
-// single-question /v1/value path. A larger batch — one object's online
-// questions, or one attribute sampled across a whole example stream in
-// statistics collection — goes out in (at most) one /v1/batch round
-// trip, with the same caching, single-flight and transactional-charging
-// guarantees as len(qs) single questions, and byte-identical answers,
-// since the server memoizes per question identity either way. The
-// client cannot tell who answered, so Workers stays nil.
-//
-// A batch locks every distinct question key in sorted order (a single
-// question holds one key at a time, so ordered acquisition cannot
-// deadlock against it), reserves the cost of every cache-missing answer
-// up front, and enqueues the missing questions into the coalescer, where
-// concurrent callers' questions merge into shared requests. Per-item
-// transient failures and short answer batches fall back to the
-// single-question path (fresh idempotency keys, its own retry budget);
-// any terminal failure releases the whole reservation and fails the
-// call.
-func (c *Client) Values(qs []crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
-	if len(qs) == 1 {
-		vals, err := c.value(qs[0].Object, qs[0].Attr, qs[0].N)
-		if err != nil {
-			return nil, err
-		}
-		return []crowd.ValueAnswers{{Values: vals}}, nil
-	}
-	for _, q := range qs {
-		if q.Object == nil {
-			return nil, errors.New("crowdhttp: nil object")
-		}
-		if q.N < 0 {
-			return nil, fmt.Errorf("crowdhttp: negative answer count %d", q.N)
-		}
-	}
-	if len(qs) == 0 {
-		return []crowd.ValueAnswers{}, nil
-	}
-
-	c.batchEnter()
-	preparing := true
-	defer func() {
-		if preparing {
-			c.batchLeave()
-		}
-	}()
-
-	canon := make([]string, len(qs))
-	for i, q := range qs {
-		ct, err := c.canonicalName(q.Attr)
-		if err != nil {
-			return nil, fmt.Errorf("crowdhttp: canonicalizing %q: %w", q.Attr, err)
-		}
-		canon[i] = ct
-	}
-	// Distinct question keys with the longest prefix each needs.
-	need := make(map[valueKey]int, len(qs))
-	for i, q := range qs {
-		k := valueKey{objID: q.Object.ID, attr: canon[i]}
-		if q.N > need[k] {
-			need[k] = q.N
-		}
-	}
-	keys := make([]valueKey, 0, len(need))
-	for k := range need {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].objID != keys[j].objID {
-			return keys[i].objID < keys[j].objID
-		}
-		return keys[i].attr < keys[j].attr
-	})
-
-	unlocks := make([]func(), 0, len(keys))
-	defer func() {
-		for i := len(unlocks) - 1; i >= 0; i-- {
-			unlocks[i]()
-		}
-	}()
-	for _, k := range keys {
-		unlocks = append(unlocks, c.lockValueKey(k))
-	}
-
-	c.mu.Lock()
-	cachedLen := make(map[valueKey]int, len(keys))
-	for _, k := range keys {
-		cachedLen[k] = len(c.values[k])
-	}
-	c.mu.Unlock()
-	type missing struct {
-		key valueKey
-		n   int
-	}
-	var miss []missing
-	for _, k := range keys {
-		if cachedLen[k] < need[k] {
-			miss = append(miss, missing{key: k, n: need[k]})
-		}
-	}
-
-	if len(miss) > 0 {
-		pricing, err := c.fetchPricing()
-		if err != nil {
-			return nil, err
-		}
-		// Reserve every missing answer before asking, one reservation per
-		// question kind; all-or-nothing, released in full on failure.
-		var nBinary, nNumeric int
-		for _, m := range miss {
-			meta, err := c.metaOf(m.key.attr)
-			if err != nil {
-				return nil, err
-			}
-			if meta.Binary {
-				nBinary += m.n - cachedLen[m.key]
-			} else {
-				nNumeric += m.n - cachedLen[m.key]
-			}
-		}
-		var resBin, resNum *crowd.Reservation
-		if nBinary > 0 {
-			if resBin, err = c.ledgerRef().Reserve(crowd.BinaryValue, pricing.BinaryValue, nBinary); err != nil {
-				return nil, err
-			}
-		}
-		if nNumeric > 0 {
-			if resNum, err = c.ledgerRef().Reserve(crowd.NumericValue, pricing.NumericValue, nNumeric); err != nil {
-				resBin.Release()
-				return nil, err
-			}
-		}
-
-		items := make([]*pendingItem, len(miss))
-		for i, m := range miss {
-			items[i] = &pendingItem{
-				item: batchItem{Kind: "value", ObjectID: m.key.objID, Attribute: m.key.attr, N: m.n},
-				done: make(chan batchOutcome, 1),
-			}
-		}
-		c.enqueueBatch(items)
-		preparing = false
-		c.batchLeave()
-
-		fetched := make(map[valueKey][]float64, len(miss))
-		var termErr error
-		for i, it := range items {
-			out := <-it.done
-			if termErr != nil {
-				continue // outcome channels are buffered; no need to process
-			}
-			m := miss[i]
-			switch {
-			case out.err != nil:
-				termErr = out.err
-			case out.res.Error != "" && !out.res.Transient:
-				termErr = fmt.Errorf("crowdhttp: %s: %s", PathBatch, out.res.Error)
-			case out.res.Error != "" || len(out.res.Answers) < m.n:
-				// A transiently failed or short item re-asks alone; the
-				// server's answer memoization makes that a cheap replay
-				// of whatever did execute.
-				if out.res.Error != "" {
-					c.transientErrs.Add(1)
-				} else {
-					c.shortResponses.Add(1)
-				}
-				resp, err := c.fetchValues(m.key.objID, m.key.attr, m.n)
-				if err != nil {
-					termErr = err
-					continue
-				}
-				fetched[m.key] = resp.Answers[:m.n]
-			default:
-				fetched[m.key] = out.res.Answers[:m.n]
-			}
-		}
-		if termErr != nil {
-			resBin.Release()
-			resNum.Release()
-			return nil, termErr
-		}
-		c.mu.Lock()
-		for k, ans := range fetched {
-			// Right-sized copy, never aliasing the decoded response.
-			vals := make([]float64, len(ans))
-			copy(vals, ans)
-			c.values[k] = vals
-		}
-		c.mu.Unlock()
-		resBin.Commit()
-		resNum.Commit()
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]crowd.ValueAnswers, len(qs))
-	for i, q := range qs {
-		vals := c.values[valueKey{objID: q.Object.ID, attr: canon[i]}]
-		out[i].Values = make([]float64, q.N)
-		copy(out[i].Values, vals[:q.N])
-	}
-	return out, nil
 }

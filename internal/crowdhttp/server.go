@@ -103,17 +103,9 @@ func (k *idemKey) setIdempotencyKey(s string) { k.IdempotencyKey = s }
 // wireRequest is any request type carrying an idempotency key.
 type wireRequest interface{ setIdempotencyKey(string) }
 
-// Wire types.
+// Wire types. The batchable question kinds share one request type,
+// batchItem (batch.go); the rest have their own.
 type (
-	valueRequest struct {
-		idemKey
-		ObjectID  int    `json:"object_id"`
-		Attribute string `json:"attribute"`
-		N         int    `json:"n"`
-	}
-	valueResponse struct {
-		Answers []float64 `json:"answers"`
-	}
 	dismantleRequest struct {
 		idemKey
 		Attribute string `json:"attribute"`
@@ -129,28 +121,9 @@ type (
 	verifyResponse struct {
 		Yes bool `json:"yes"`
 	}
-	examplesRequest struct {
-		idemKey
-		Targets []string `json:"targets"`
-		N       int      `json:"n"`
-	}
 	exampleWire struct {
 		ObjectID int                `json:"object_id"`
 		Values   map[string]float64 `json:"values"`
-	}
-	examplesResponse struct {
-		Examples []exampleWire `json:"examples"`
-	}
-	canonicalRequest struct {
-		idemKey
-		Name string `json:"name"`
-	}
-	canonicalResponse struct {
-		Canonical string `json:"canonical"`
-	}
-	metaRequest struct {
-		idemKey
-		Attribute string `json:"attribute"`
 	}
 	metaResponse struct {
 		Sigma  float64 `json:"sigma"`
@@ -302,12 +275,11 @@ func (s *Server) InjectedFaults() int64 {
 // Handler returns the API's http.Handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathValue, s.wrap(PathValue, s.handleValue))
+	for kind, path := range questionPaths {
+		mux.HandleFunc(path, s.wrap(path, s.handleQuestion(kind)))
+	}
 	mux.HandleFunc(PathDismantle, s.wrap(PathDismantle, s.handleDismantle))
 	mux.HandleFunc(PathVerify, s.wrap(PathVerify, s.handleVerify))
-	mux.HandleFunc(PathExamples, s.wrap(PathExamples, s.handleExamples))
-	mux.HandleFunc(PathCanonical, s.wrap(PathCanonical, s.handleCanonical))
-	mux.HandleFunc(PathMeta, s.wrap(PathMeta, s.handleMeta))
 	mux.HandleFunc(PathBatch, s.wrap(PathBatch, s.handleBatch))
 	mux.HandleFunc(PathPricing, s.wrapPricing(s.handlePricing))
 	mux.HandleFunc(PathStats, s.handleStats)
@@ -420,12 +392,19 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
-// statusFor maps platform errors onto the retryability contract: a
-// transient platform failure is 503 (retryable), everything else is a
-// terminal 400.
+// errUnknownObject rejects a value question about an object the server
+// never handed out or registered.
+var errUnknownObject = errors.New("crowdhttp: unknown object")
+
+// statusFor maps question errors onto the retryability contract: a
+// transient platform failure is 503 (retryable), an unknown object 404,
+// everything else a terminal 400.
 func statusFor(err error) int {
-	if errors.Is(err, crowd.ErrTransient) {
+	switch {
+	case errors.Is(err, crowd.ErrTransient):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, errUnknownObject):
+		return http.StatusNotFound
 	}
 	return http.StatusBadRequest
 }
@@ -449,26 +428,27 @@ func (s *Server) lookupObject(id int) (*domain.Object, bool) {
 	return o, ok
 }
 
-func (s *Server) handleValue(w http.ResponseWriter, r *http.Request) {
-	var req valueRequest
-	if !decode(w, r, &req) {
-		return
+// handleQuestion serves the single-question endpoint of one batchable
+// kind: the body is a batch item without its kind field, answered by the
+// batch executor. Meta answers at the top level; the other kinds answer
+// with the payload field of their batch result.
+func (s *Server) handleQuestion(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req questionRequest
+		if !decode(w, r, &req) {
+			return
+		}
+		req.Kind = kind
+		res, err := s.execute(req.batchItem)
+		switch {
+		case err != nil:
+			writeError(w, statusFor(err), err)
+		case res.Meta != nil:
+			writeJSON(w, http.StatusOK, res.Meta)
+		default:
+			writeJSON(w, http.StatusOK, res)
+		}
 	}
-	if err := checkN(req.N); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	obj, ok := s.lookupObject(req.ObjectID)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("crowdhttp: unknown object %d", req.ObjectID))
-		return
-	}
-	answers, err := crowd.Value(s.platform, obj, req.Attribute, req.N)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, valueResponse{Answers: answers})
 }
 
 func (s *Server) handleDismantle(w http.ResponseWriter, r *http.Request) {
@@ -495,49 +475,6 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, verifyResponse{Yes: yes})
-}
-
-func (s *Server) handleExamples(w http.ResponseWriter, r *http.Request) {
-	var req examplesRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := checkN(req.N); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	examples, err := s.platform.Examples(req.Targets, req.N)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	out := examplesResponse{Examples: make([]exampleWire, len(examples))}
-	s.mu.Lock()
-	for i, ex := range examples {
-		s.objects[ex.Object.ID] = ex.Object
-		out.Examples[i] = exampleWire{ObjectID: ex.Object.ID, Values: ex.Values}
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleCanonical(w http.ResponseWriter, r *http.Request) {
-	var req canonicalRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	writeJSON(w, http.StatusOK, canonicalResponse{Canonical: s.platform.Canonical(req.Name)})
-}
-
-func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
-	var req metaRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	writeJSON(w, http.StatusOK, metaResponse{
-		Sigma:  s.platform.Sigma(req.Attribute),
-		Binary: s.platform.IsBinary(req.Attribute),
-	})
 }
 
 func (s *Server) handlePricing(w http.ResponseWriter, r *http.Request) {
