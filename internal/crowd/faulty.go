@@ -85,8 +85,8 @@ func faultRand(seed, idx int64) *rand.Rand {
 // wrapped platform exactly as it was, which is what makes a fault-injected run converge to the same answers as a
 // fault-free run once a retry layer sits on top.
 type FaultyPlatform struct {
-	inner Platform
-	opts  FaultyOptions
+	platform // the wrapped platform; metadata passes through unfaulted
+	opts     FaultyOptions
 
 	calls         atomic.Int64
 	injectedErr   atomic.Int64
@@ -95,13 +95,13 @@ type FaultyPlatform struct {
 
 // NewFaulty wraps a platform with the fault schedule.
 func NewFaulty(inner Platform, opts FaultyOptions) *FaultyPlatform {
-	return &FaultyPlatform{inner: inner, opts: opts}
+	return &FaultyPlatform{platform: inner, opts: opts}
 }
 
 // Stats implements Platform, adding this layer's fault counters to the
 // wrapped platform's.
 func (f *FaultyPlatform) Stats() Stats {
-	s := f.inner.Stats()
+	s := f.platform.Stats()
 	s.Merge(FaultStats{
 		Questions:      f.calls.Load(),
 		InjectedErrors: f.injectedErr.Load(),
@@ -141,13 +141,13 @@ func (f *FaultyPlatform) begin() (*rand.Rand, error) {
 // asks nothing, so it is no exchange.
 func (f *FaultyPlatform) Values(qs []ObjectValueQuestion) ([]ValueAnswers, error) {
 	if len(qs) == 0 {
-		return f.inner.Values(qs)
+		return f.platform.Values(qs)
 	}
 	r, err := f.begin()
 	if err != nil {
 		return nil, err
 	}
-	out, err := f.inner.Values(qs)
+	out, err := f.platform.Values(qs)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +170,7 @@ func (f *FaultyPlatform) Dismantle(attr string) (string, error) {
 	if _, err := f.begin(); err != nil {
 		return "", err
 	}
-	return f.inner.Dismantle(attr)
+	return f.platform.Dismantle(attr)
 }
 
 // Verify implements Platform with injected faults.
@@ -178,7 +178,7 @@ func (f *FaultyPlatform) Verify(candidate, target string) (bool, error) {
 	if _, err := f.begin(); err != nil {
 		return false, err
 	}
-	return f.inner.Verify(candidate, target)
+	return f.platform.Verify(candidate, target)
 }
 
 // Examples implements Platform with injected faults; short batches return
@@ -188,7 +188,7 @@ func (f *FaultyPlatform) Examples(targets []string, n int) ([]Example, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex, err := f.inner.Examples(targets, n)
+	ex, err := f.platform.Examples(targets, n)
 	if err != nil {
 		return nil, err
 	}
@@ -206,30 +206,12 @@ func (f *FaultyPlatform) Examples(targets []string, n int) ([]Example, error) {
 // schedule deterministic in isolation; nil when the inner platform
 // cannot fork.
 func (f *FaultyPlatform) ForkPlatform() Platform {
-	inner := f.inner.ForkPlatform()
+	inner := f.platform.ForkPlatform()
 	if inner == nil {
 		return nil
 	}
 	return NewFaulty(inner, f.opts)
 }
-
-// Canonical implements Platform (pass-through; metadata is not faulted).
-func (f *FaultyPlatform) Canonical(name string) string { return f.inner.Canonical(name) }
-
-// Sigma implements Platform (pass-through).
-func (f *FaultyPlatform) Sigma(attr string) float64 { return f.inner.Sigma(attr) }
-
-// IsBinary implements Platform (pass-through).
-func (f *FaultyPlatform) IsBinary(attr string) bool { return f.inner.IsBinary(attr) }
-
-// Pricing implements Platform (pass-through).
-func (f *FaultyPlatform) Pricing() Pricing { return f.inner.Pricing() }
-
-// Ledger implements Platform (pass-through).
-func (f *FaultyPlatform) Ledger() *Ledger { return f.inner.Ledger() }
-
-// SetLedger implements Platform (pass-through).
-func (f *FaultyPlatform) SetLedger(l *Ledger) *Ledger { return f.inner.SetLedger(l) }
 
 // RetryOptions configures the in-process retry layer.
 type RetryOptions struct {
@@ -260,21 +242,21 @@ func (o RetryOptions) withDefaults() RetryOptions {
 // the in-process counterpart of the crowdhttp client's retrying
 // transport, used to run the experiment harness over a FaultyPlatform.
 type RetryPlatform struct {
-	inner   Platform
-	opts    RetryOptions
-	retries atomic.Int64
+	platform // the wrapped platform; metadata passes through
+	opts     RetryOptions
+	retries  atomic.Int64
 }
 
 // NewRetry wraps a platform with the retry policy (zero options =
 // defaults).
 func NewRetry(inner Platform, opts RetryOptions) *RetryPlatform {
-	return &RetryPlatform{inner: inner, opts: opts.withDefaults()}
+	return &RetryPlatform{platform: inner, opts: opts.withDefaults()}
 }
 
 // Stats implements Platform, adding this layer's retries to the wrapped
 // platform's counters.
 func (p *RetryPlatform) Stats() Stats {
-	s := p.inner.Stats()
+	s := p.platform.Stats()
 	s.Merge(FaultStats{Retries: p.retries.Load()})
 	return s
 }
@@ -306,7 +288,7 @@ func (p *RetryPlatform) do(call func() error) error {
 func (p *RetryPlatform) Values(qs []ObjectValueQuestion) ([]ValueAnswers, error) {
 	var out []ValueAnswers
 	err := p.do(func() error {
-		res, err := p.inner.Values(qs)
+		res, err := p.platform.Values(qs)
 		if err != nil {
 			return err
 		}
@@ -325,7 +307,7 @@ func (p *RetryPlatform) Values(qs []ObjectValueQuestion) ([]ValueAnswers, error)
 func (p *RetryPlatform) Dismantle(attr string) (string, error) {
 	var out string
 	err := p.do(func() error {
-		ans, err := p.inner.Dismantle(attr)
+		ans, err := p.platform.Dismantle(attr)
 		out = ans
 		return err
 	})
@@ -336,7 +318,7 @@ func (p *RetryPlatform) Dismantle(attr string) (string, error) {
 func (p *RetryPlatform) Verify(candidate, target string) (bool, error) {
 	var out bool
 	err := p.do(func() error {
-		yes, err := p.inner.Verify(candidate, target)
+		yes, err := p.platform.Verify(candidate, target)
 		out = yes
 		return err
 	})
@@ -347,7 +329,7 @@ func (p *RetryPlatform) Verify(candidate, target string) (bool, error) {
 func (p *RetryPlatform) Examples(targets []string, n int) ([]Example, error) {
 	var out []Example
 	err := p.do(func() error {
-		ex, err := p.inner.Examples(targets, n)
+		ex, err := p.platform.Examples(targets, n)
 		if err != nil {
 			return err
 		}
@@ -364,27 +346,9 @@ func (p *RetryPlatform) Examples(targets []string, n int) ([]Example, error) {
 // platform with the same retry policy (the fork gets its own retry
 // counter); nil when the inner platform cannot fork.
 func (p *RetryPlatform) ForkPlatform() Platform {
-	inner := p.inner.ForkPlatform()
+	inner := p.platform.ForkPlatform()
 	if inner == nil {
 		return nil
 	}
 	return NewRetry(inner, p.opts)
 }
-
-// Canonical implements Platform (pass-through).
-func (p *RetryPlatform) Canonical(name string) string { return p.inner.Canonical(name) }
-
-// Sigma implements Platform (pass-through).
-func (p *RetryPlatform) Sigma(attr string) float64 { return p.inner.Sigma(attr) }
-
-// IsBinary implements Platform (pass-through).
-func (p *RetryPlatform) IsBinary(attr string) bool { return p.inner.IsBinary(attr) }
-
-// Pricing implements Platform (pass-through).
-func (p *RetryPlatform) Pricing() Pricing { return p.inner.Pricing() }
-
-// Ledger implements Platform (pass-through).
-func (p *RetryPlatform) Ledger() *Ledger { return p.inner.Ledger() }
-
-// SetLedger implements Platform (pass-through).
-func (p *RetryPlatform) SetLedger(l *Ledger) *Ledger { return p.inner.SetLedger(l) }

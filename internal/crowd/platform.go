@@ -89,6 +89,11 @@ type Platform interface {
 	Stats() Stats
 }
 
+// platform lets the wrappers embed the Platform they wrap under an
+// unexported field name, so every method they do not override passes
+// through without adding a public field to the exported wrapper types.
+type platform = Platform
+
 // ValueQuestion names one value question about an object left implicit:
 // the first N answers about Attr. core.Plan.Questions enumerates an
 // object's online questions in this form.

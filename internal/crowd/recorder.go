@@ -23,18 +23,19 @@ type recorderShard struct {
 // all crowd answers "in a database and reused in following experiments, so
 // that results of multiple runs/algorithms may be compared in equivalent
 // settings". The recorded table can be saved, inspected as CSV, or used to
-// audit exactly what the crowd was asked.
+// audit exactly what the crowd was asked. Dismantling and verification
+// answers are not object-bound, so they pass through unrecorded.
 //
 // Recorder is safe for concurrent use; recordings are buffered in
 // object-id shards and merged on demand by Table.
 type Recorder struct {
-	inner  Platform
-	shards [recorderShards]recorderShard
+	platform // the wrapped platform; every unrecorded method passes through
+	shards   [recorderShards]recorderShard
 }
 
 // NewRecorder wraps a platform with recording.
 func NewRecorder(inner Platform) *Recorder {
-	r := &Recorder{inner: inner}
+	r := &Recorder{platform: inner}
 	for i := range r.shards {
 		r.shards[i].table = store.NewTable()
 	}
@@ -81,12 +82,12 @@ func (r *Recorder) Table() *store.Table {
 // Values implements Platform, recording every question's full answer
 // multiset.
 func (r *Recorder) Values(qs []ObjectValueQuestion) ([]ValueAnswers, error) {
-	answers, err := r.inner.Values(qs)
+	answers, err := r.platform.Values(qs)
 	if err != nil {
 		return nil, err
 	}
 	for i, q := range qs {
-		attr := r.inner.Canonical(q.Attr)
+		attr := r.platform.Canonical(q.Attr)
 		sh := r.shard(q.Object.ID)
 		sh.mu.Lock()
 		sh.table.SetAnswers(q.Object.ID, attr, answers[i].Values)
@@ -95,18 +96,9 @@ func (r *Recorder) Values(qs []ObjectValueQuestion) ([]ValueAnswers, error) {
 	return answers, nil
 }
 
-// Dismantle implements Platform (dismantling answers are not object-bound
-// and are not recorded in the table).
-func (r *Recorder) Dismantle(attr string) (string, error) { return r.inner.Dismantle(attr) }
-
-// Verify implements Platform.
-func (r *Recorder) Verify(candidate, target string) (bool, error) {
-	return r.inner.Verify(candidate, target)
-}
-
 // Examples implements Platform, recording the true target values.
 func (r *Recorder) Examples(targets []string, n int) ([]Example, error) {
-	examples, err := r.inner.Examples(targets, n)
+	examples, err := r.platform.Examples(targets, n)
 	if err != nil {
 		return nil, err
 	}
@@ -121,27 +113,6 @@ func (r *Recorder) Examples(targets []string, n int) ([]Example, error) {
 	return examples, nil
 }
 
-// Canonical implements Platform.
-func (r *Recorder) Canonical(name string) string { return r.inner.Canonical(name) }
-
-// Sigma implements Platform.
-func (r *Recorder) Sigma(attr string) float64 { return r.inner.Sigma(attr) }
-
-// IsBinary implements Platform.
-func (r *Recorder) IsBinary(attr string) bool { return r.inner.IsBinary(attr) }
-
-// Pricing implements Platform.
-func (r *Recorder) Pricing() Pricing { return r.inner.Pricing() }
-
-// Ledger implements Platform.
-func (r *Recorder) Ledger() *Ledger { return r.inner.Ledger() }
-
-// SetLedger implements Platform.
-func (r *Recorder) SetLedger(l *Ledger) *Ledger { return r.inner.SetLedger(l) }
-
 // ForkPlatform implements Platform: a recording cannot fork, so this
 // returns nil.
 func (r *Recorder) ForkPlatform() Platform { return nil }
-
-// Stats implements Platform.
-func (r *Recorder) Stats() Stats { return r.inner.Stats() }
