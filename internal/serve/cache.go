@@ -49,17 +49,6 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// builder reports which backend owns the key's plan (built or building),
-// or -1 when the key is absent — the plan-affinity routing input.
-func (c *planCache) builder(key string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		return e.backend
-	}
-	return -1
-}
-
 // route picks the backend of a session for key and records it as the
 // plan's home in the same critical section: pick receives the home of
 // the key's entry (routed, building or built), or -1 when there is none,

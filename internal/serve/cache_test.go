@@ -68,8 +68,11 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 	if s.Misses != 1 || s.InflightWaits != 15 || s.Size != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if got := c.builder("k"); got != 0 {
-		t.Fatalf("builder = %d, want 0", got)
+	// The builder's backend is the plan's home, routing's affinity input.
+	home := -1
+	c.route("k", func(affinity int) int { home = affinity; return affinity })
+	if home != 0 {
+		t.Fatalf("route affinity = %d, want the builder's backend 0", home)
 	}
 }
 
