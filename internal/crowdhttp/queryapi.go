@@ -27,6 +27,13 @@ const (
 	PathServeStats = "/v1/serve/stats"
 )
 
+// maxBudgetMills bounds a query's b_obj_mills and b_prc_mills: $100, ten
+// times the tier's default B_prc ($10) and 2500 times its default B_obj
+// (4¢). Preprocess grows with the budgets — B_obj = $100 with B_prc =
+// $10000 runs for tens of seconds, 2^40/2^50 mills never finishes — while
+// a query at this bound preprocesses on the simulator in about a second.
+const maxBudgetMills = 100_000
+
 // queryWire is serve.Request on the wire (budgets in mills, matching
 // crowd.Cost's unit everywhere else in the API).
 type queryWire struct {
@@ -100,6 +107,11 @@ func decodeQuery(w http.ResponseWriter, r *http.Request) (serve.Request, bool) {
 	var wire queryWire
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&wire); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("crowdhttp: bad request body: %w", err))
+		return serve.Request{}, false
+	}
+	if wire.BObjMills > maxBudgetMills || wire.BPrcMills > maxBudgetMills {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("crowdhttp: budgets (%d, %d mills) exceed limit %d",
+			wire.BObjMills, wire.BPrcMills, maxBudgetMills))
 		return serve.Request{}, false
 	}
 	return serve.Request{

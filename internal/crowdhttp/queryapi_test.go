@@ -3,6 +3,8 @@ package crowdhttp
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -101,6 +103,53 @@ func TestQueryAPIBudgetsCrossTheWire(t *testing.T) {
 	}
 	if res.PreprocessCost <= 0 || res.OnlineSpent <= 0 {
 		t.Fatalf("costs not reported: %+v", res)
+	}
+}
+
+// TestQueryAPIBoundsBudgets pins the query API's budget bound: a budget
+// at maxBudgetMills executes, one above it is rejected with 400 before
+// the tier runs a session.
+func TestQueryAPIBoundsBudgets(t *testing.T) {
+	client, ts := newQueryFixture(t, 1, serve.Config{})
+	sessions := func() int64 {
+		t.Helper()
+		st, err := client.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for _, cs := range st.Classes {
+			n += cs.Sessions
+		}
+		return n
+	}
+	cases := []struct {
+		name       string
+		bObj, bPrc int64
+		want       int
+	}{
+		{"b_obj at bound", maxBudgetMills, 0, http.StatusOK},
+		{"b_prc at bound", 0, maxBudgetMills, http.StatusOK},
+		{"b_obj over bound", maxBudgetMills + 1, 0, http.StatusBadRequest},
+		{"b_prc over bound", 0, maxBudgetMills + 1, http.StatusBadRequest},
+		{"2^40 and 2^50 mills", 1 << 40, 1 << 50, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := sessions()
+			body := fmt.Sprintf(`{"statement":"SELECT Protein","max_objects":2,"b_obj_mills":%d,"b_prc_mills":%d}`, c.bObj, c.bPrc)
+			resp, err := http.Post(ts.URL+PathServeQuery, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Fatalf("status %d, want %d", resp.StatusCode, c.want)
+			}
+			if ran := sessions() - before; (ran == 1) != (c.want == http.StatusOK) {
+				t.Fatalf("%d sessions ran for a %d answer", ran, resp.StatusCode)
+			}
+		})
 	}
 }
 
