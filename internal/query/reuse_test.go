@@ -9,8 +9,8 @@ import (
 // TestReuseColdBitEqual pins the cache-cold contract: an eager engine
 // resolving through an empty memo must be bit-equal to the memo-less
 // engine — same rows, same estimates, same ledger Spent() to the mill —
-// because reuseRun's pay shapes its purchases exactly like the compiled
-// plan's collectMeans. Holds on the simulator and the batched remote
+// because the memo payment (adaptive.Answers.Full's buy) shapes its
+// purchases exactly like the compiled plan's collectMeans. Holds on the simulator and the batched remote
 // platform (whose batch shape the memo's pay must mirror).
 func TestReuseColdBitEqual(t *testing.T) {
 	st := mustParse(t, "SELECT Calories, Protein WHERE Dessert > 0.5 ORDER BY Protein DESC LIMIT 5")
