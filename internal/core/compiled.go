@@ -29,15 +29,10 @@ type compiledPlan struct {
 	counts    []int
 	questions []crowd.ValueQuestion
 
-	// Per-target prediction program, aligned with targets: estimate t =
-	// intercepts[t] + Σ linCoef[t][k]·means[linIdx[t][k]]
-	//              + Σ sqCoef[t][k]·means[sqIdx[t][k]]².
-	targets    []string
-	intercepts []float64
-	linIdx     [][]int
-	linCoef    [][]float64
-	sqIdx      [][]int
-	sqCoef     [][]float64
+	// targets and progs are aligned: progs[t] is target t's prediction
+	// program over the shared means buffer.
+	targets []string
+	progs   []TargetProgram
 }
 
 // compilePlan flattens a plan. A nil regression is recorded as cp.err
@@ -60,39 +55,28 @@ func compilePlan(pl *Plan) *compiledPlan {
 		cp.counts[i] = pl.Budget.Counts[a]
 		cp.questions[i] = crowd.ValueQuestion{Attr: a, N: cp.counts[i]}
 	}
-	nt := len(cp.targets)
-	cp.intercepts = make([]float64, 0, nt)
-	cp.linIdx = make([][]int, 0, nt)
-	cp.linCoef = make([][]float64, 0, nt)
-	cp.sqIdx = make([][]int, 0, nt)
-	cp.sqCoef = make([][]float64, 0, nt)
+	cp.progs = make([]TargetProgram, 0, len(cp.targets))
 	for _, t := range cp.targets {
 		reg := pl.Regressions[t]
 		if reg == nil {
 			cp.err = fmt.Errorf("core: plan has no regression for target %q", t)
 			return cp
 		}
-		var li []int
-		var lc []float64
+		tp := TargetProgram{Target: t, Intercept: reg.Intercept}
 		for i, a := range reg.Attributes {
 			if j, ok := index[a]; ok {
-				li = append(li, j)
-				lc = append(lc, reg.Coefficients[i])
+				tp.LinIdx = append(tp.LinIdx, j)
+				tp.LinCoef = append(tp.LinCoef, reg.Coefficients[i])
 			}
 		}
-		var si []int
-		var sc []float64
 		for i, a := range reg.SquareAttributes {
 			if j, ok := index[a]; ok {
-				si = append(si, j)
-				sc = append(sc, reg.SquareCoefficients[i])
+				tp.SqIdx = append(tp.SqIdx, j)
+				tp.SqCoef = append(tp.SqCoef, reg.SquareCoefficients[i])
 			}
 		}
-		cp.intercepts = append(cp.intercepts, reg.Intercept)
-		cp.linIdx = append(cp.linIdx, li)
-		cp.linCoef = append(cp.linCoef, lc)
-		cp.sqIdx = append(cp.sqIdx, si)
-		cp.sqCoef = append(cp.sqCoef, sc)
+		tp.deps = depsOf(tp.LinIdx, tp.SqIdx)
+		cp.progs = append(cp.progs, tp)
 	}
 	return cp
 }
@@ -195,17 +179,7 @@ func (cp *compiledPlan) collectMeans(p crowd.Platform, o *domain.Object, means [
 // means. It is the zero-allocation hot path of the online phase
 // (testing.AllocsPerRun pins that); out must have len(cp.targets).
 func (cp *compiledPlan) predictInto(means, out []float64) {
-	for t := range cp.targets {
-		y := cp.intercepts[t]
-		idx, coef := cp.linIdx[t], cp.linCoef[t]
-		for k, j := range idx {
-			y += coef[k] * means[j]
-		}
-		sidx, scoef := cp.sqIdx[t], cp.sqCoef[t]
-		for k, j := range sidx {
-			v := means[j]
-			y += scoef[k] * v * v
-		}
-		out[t] = y
+	for t := range cp.progs {
+		out[t] = cp.progs[t].Predict(means)
 	}
 }

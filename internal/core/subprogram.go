@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -34,33 +35,22 @@ func (pl *Plan) TargetProgram(target string) (*TargetProgram, error) {
 	if cp.err != nil {
 		return nil, cp.err
 	}
-	for t, name := range cp.targets {
-		if name != target {
-			continue
+	for _, tp := range cp.progs {
+		if tp.Target == target {
+			tp.LinIdx, tp.LinCoef = slices.Clone(tp.LinIdx), slices.Clone(tp.LinCoef)
+			tp.SqIdx, tp.SqCoef = slices.Clone(tp.SqIdx), slices.Clone(tp.SqCoef)
+			return &tp, nil
 		}
-		tp := &TargetProgram{
-			Target:    name,
-			Intercept: cp.intercepts[t],
-			LinIdx:    append([]int(nil), cp.linIdx[t]...),
-			LinCoef:   append([]float64(nil), cp.linCoef[t]...),
-			SqIdx:     append([]int(nil), cp.sqIdx[t]...),
-			SqCoef:    append([]float64(nil), cp.sqCoef[t]...),
-		}
-		seen := make(map[int]bool, len(tp.LinIdx)+len(tp.SqIdx))
-		for _, j := range tp.LinIdx {
-			seen[j] = true
-		}
-		for _, j := range tp.SqIdx {
-			seen[j] = true
-		}
-		tp.deps = make([]int, 0, len(seen))
-		for j := range seen {
-			tp.deps = append(tp.deps, j)
-		}
-		sort.Ints(tp.deps)
-		return tp, nil
 	}
 	return nil, fmt.Errorf("core: plan has no target %q", target)
+}
+
+// depsOf returns the sorted, deduplicated union of a program's linear
+// and square indices.
+func depsOf(lin, sq []int) []int {
+	deps := slices.Concat(lin, sq)
+	slices.Sort(deps)
+	return slices.Compact(deps)
 }
 
 // Deps returns the Support-order indices of every attribute the program
@@ -135,18 +125,7 @@ func (tp *TargetProgram) Truncate(scale func(j int) float64, keep float64) (*Tar
 			out.LinCoef = append(out.LinCoef, tp.LinCoef[t.k])
 		}
 	}
-	seen := make(map[int]bool, len(out.LinIdx)+len(out.SqIdx))
-	for _, j := range out.LinIdx {
-		seen[j] = true
-	}
-	for _, j := range out.SqIdx {
-		seen[j] = true
-	}
-	out.deps = make([]int, 0, len(seen))
-	for j := range seen {
-		out.deps = append(out.deps, j)
-	}
-	sort.Ints(out.deps)
+	out.deps = depsOf(out.LinIdx, out.SqIdx)
 	return out, slack
 }
 
