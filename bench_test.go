@@ -309,21 +309,32 @@ func TestRemoteBatchedEvaluation(t *testing.T) {
 		}
 	}
 
-	batched, batchedSt, batchedTime := remoteEval(t, seed, objs, warm, false)
-	unbatched, unbatchedSt, unbatchedTime := remoteEval(t, seed, objs, warm, true)
-
-	if !reflect.DeepEqual(batched, want) {
-		t.Fatalf("batched remote estimates diverge from direct evaluation:\nremote %v\ndirect %v", batched, want)
-	}
-	if !reflect.DeepEqual(unbatched, want) {
-		t.Fatalf("unbatched remote estimates diverge from direct evaluation:\nremote %v\ndirect %v", unbatched, want)
-	}
-	if unbatchedSt.Requests < 10*batchedSt.Requests {
-		t.Fatalf("round trips: unbatched %d vs batched %d — want ≥10× reduction",
-			unbatchedSt.Requests, batchedSt.Requests)
-	}
-	if batchedSt.Batches != int64(len(objs)) {
-		t.Fatalf("batched evaluation sent %d batch requests for %d objects", batchedSt.Batches, len(objs))
+	// One wall-clock run per arm is at the mercy of whatever else the
+	// host is doing; alternating the arms three times and keeping each
+	// arm's fastest run compares the two paths, not the noise.
+	var batchedSt, unbatchedSt disq.TransportStats
+	var batchedTime, unbatchedTime time.Duration
+	for rep := 0; rep < 3; rep++ {
+		batched, bst, bt := remoteEval(t, seed, objs, warm, false)
+		unbatched, ust, ut := remoteEval(t, seed, objs, warm, true)
+		if !reflect.DeepEqual(batched, want) {
+			t.Fatalf("batched remote estimates diverge from direct evaluation:\nremote %v\ndirect %v", batched, want)
+		}
+		if !reflect.DeepEqual(unbatched, want) {
+			t.Fatalf("unbatched remote estimates diverge from direct evaluation:\nremote %v\ndirect %v", unbatched, want)
+		}
+		if ust.Requests < 10*bst.Requests {
+			t.Fatalf("round trips: unbatched %d vs batched %d — want ≥10× reduction", ust.Requests, bst.Requests)
+		}
+		if bst.Batches != int64(len(objs)) {
+			t.Fatalf("batched evaluation sent %d batch requests for %d objects", bst.Batches, len(objs))
+		}
+		if rep == 0 || bt < batchedTime {
+			batchedTime, batchedSt = bt, bst
+		}
+		if rep == 0 || ut < unbatchedTime {
+			unbatchedTime, unbatchedSt = ut, ust
+		}
 	}
 	if batchedTime >= unbatchedTime {
 		t.Fatalf("batched evaluation was not faster: %v vs %v (requests %d vs %d)",
