@@ -107,7 +107,7 @@ type benchReport struct {
 	// same overlapping-window session workload on a serving tier with the
 	// shared answer cache: what cross-session answer reuse saves when
 	// sessions' evaluation sets overlap. Rows are bit-equal either way —
-	// the cache serves full-budget means the simulator would reproduce
+	// the cache serves answer prefixes the simulator would reproduce
 	// bit-identically — so the gain is pure money. The workload overlaps
 	// every object twice, making the constructed gain 2.0; the contract
 	// is ≥1.5.

@@ -115,9 +115,6 @@ func run(addr, statements, classes string, concurrency int, rate float64, durati
 	if topK > 0 {
 		stmts = append(stmts, fmt.Sprintf("SELECT Protein ORDER BY Protein DESC LIMIT %d", topK))
 	}
-	if adaptiveOn && lazyOn {
-		return fmt.Errorf("-adaptive and -lazy are mutually exclusive")
-	}
 	client := crowdhttp.NewQueryClient(strings.TrimRight(addr, "/"), nil)
 	rep := &report{Target: addr, Statements: stmts, Classes: splitList(classes, ","), Shards: shards}
 	bObj := crowd.Cost(bObjCents * 10)

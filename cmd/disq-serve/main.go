@@ -104,8 +104,8 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", 0, "query mode: object partitions evaluated in parallel per query (0/1 = unsharded; >1 makes the backends replicas)")
 	flag.StringVar(&cfg.partition, "partition", "", "query mode: shard-assignment policy (hash, range)")
 	flag.IntVar(&cfg.cacheSize, "cache-size", 64, "query mode: plan cache capacity (LRU beyond it)")
-	flag.IntVar(&cfg.answerCache, "answer-cache", 4096, "query mode: shared answer-reuse cache capacity in cached answer means (0 = off; sessions opt in per request)")
-	flag.DurationVar(&cfg.answerTTL, "answer-ttl", 0, "query mode: expire cached answer means after this long (0 = never)")
+	flag.IntVar(&cfg.answerCache, "answer-cache", 4096, "query mode: shared answer-reuse cache capacity in cached answer prefixes, one per attribute and object (0 = off; sessions opt in per request)")
+	flag.DurationVar(&cfg.answerTTL, "answer-ttl", 0, "query mode: expire cached answer prefixes after this long (0 = never)")
 	flag.StringVar(&cfg.admission, "admission", "", "query mode: per-class token buckets, 'class=rate:burst[:queue[:maxwait]]' comma-separated (e.g. 'batch=5:10:64')")
 	flag.Float64Var(&cfg.bObjCents, "bobj-cents", 4, "query mode: default per-object budget, cents")
 	flag.Float64Var(&cfg.bPrcDollars, "bprc-dollars", 10, "query mode: default preprocessing budget, dollars")

@@ -16,60 +16,29 @@ import (
 // state over a Support; the evaluators differ only in which attributes
 // they fetch next and when they stop.
 
-// ReuseQuestion identifies one fully-budgeted crowd question: "the mean
-// of N answers about this object's attribute". N is part of the key — a
-// mean over a different answer count is a different quantity, so cached
-// entries never leak across per-question budget tiers.
-//
-// The simulated crowd answers deterministically per (object, attribute,
-// prefix), which is what makes the mean a reusable asset: any session
-// that pays the same question gets the bit-identical mean, so serving a
-// cached copy changes spend but not a single output bit.
-type ReuseQuestion struct {
-	ObjectID int
-	Attr     string
-	N        int
-}
-
-// AnswerMemo is the answer-reuse surface acquisition consults. The
-// serving tier's answer cache implements it with single-flight fills and
-// LRU/TTL eviction; query.MapMemo implements it for single-goroutine
-// scopes.
+// AnswerMemo is the answer-reuse surface acquisition reads through. It
+// holds one answer prefix per (attribute, object) — the values, and
+// their workers when a question asked for them. The simulated crowd
+// answers deterministically per (object, attribute, answer index), so a
+// stored prefix is bit-identical to what any session would buy: serving
+// it changes spend, never an output bit. The serving tier's answer cache
+// implements it with single-flight fills and LRU/TTL eviction;
+// query.MapMemo implements it for single-goroutine scopes.
 type AnswerMemo interface {
-	// Resolve fills one mean per question, calling pay with the indices
-	// of the questions it does not hold; pay returns the freshly bought
-	// means aligned with miss. On a quiescent memo pay runs at most once
-	// with every miss (implementations may call it again with a disjoint
-	// set when a concurrent fill they joined fails). reused[i] reports
-	// that question i was served from the memo — including joining
-	// another session's in-flight purchase — so this caller paid nothing
-	// for it. The contract is that the returned means are exactly what
-	// pay would have produced: the deterministic crowd makes the cached
-	// copy bit-identical.
-	Resolve(qs []ReuseQuestion, pay func(miss []int) ([]float64, error)) (means []float64, reused []bool, err error)
-	// Peek returns the cached mean without filling or blocking — the
-	// probe before a partial fetch is priced.
-	Peek(q ReuseQuestion) (float64, bool)
-	// Publish offers a fully-budgeted mean the caller already paid for.
-	// Implementations must never clobber an existing entry.
-	Publish(q ReuseQuestion, mean float64)
+	// Resolve answers qs. A question is served when its stored prefix
+	// Serves it; pay buys the rest in one exchange (in their order in qs)
+	// and their answers are stored in place of any shorter prefix.
+	// reused[i] reports that question i was served — including by joining
+	// another caller's in-flight purchase — so this caller paid nothing
+	// for it. A served answer set may hold more than N answers.
+	Resolve(qs []crowd.ObjectValueQuestion, pay func([]crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error)) (answers []crowd.ValueAnswers, reused []bool, err error)
 }
 
-// noMemo is the memo of a run without reuse: it holds nothing, so every
-// question is paid for.
-type noMemo struct{}
-
-func (noMemo) Resolve(qs []ReuseQuestion, pay func(miss []int) ([]float64, error)) ([]float64, []bool, error) {
-	miss := make([]int, len(qs))
-	for i := range miss {
-		miss[i] = i
-	}
-	means, err := pay(miss)
-	return means, make([]bool, len(qs)), err
+// Serves reports whether a stored prefix answers q: it holds at least N
+// answers, and their workers when q asks for them.
+func Serves(a crowd.ValueAnswers, q crowd.ObjectValueQuestion) bool {
+	return len(a.Values) >= q.N && (!q.Workers || len(a.Workers) == len(a.Values))
 }
-
-func (noMemo) Peek(ReuseQuestion) (float64, bool) { return 0, false }
-func (noMemo) Publish(ReuseQuestion, float64)     {}
 
 // Stats is the online phase's one counter record: every evaluator
 // (fixed, adaptive, lazy, with or without an answer memo) books into it.
@@ -144,9 +113,12 @@ type Support struct {
 	Attrs    []string
 	Counts   []int
 	Prices   []crowd.Cost
-	Memo     AnswerMemo
+	// Memo serves and stores answer prefixes; nil means no reuse.
+	Memo AnswerMemo
 	// All lists every support index, for fetches over the whole support.
 	All []int
+
+	plan *core.Plan
 }
 
 // NewSupport binds the plan's support to a platform. A nil memo means
@@ -156,10 +128,7 @@ func NewSupport(p crowd.Platform, plan *core.Plan, memo AnswerMemo) (*Support, e
 	if err != nil {
 		return nil, err
 	}
-	if memo == nil {
-		memo = noMemo{}
-	}
-	sup := &Support{Platform: p, Attrs: attrs, Counts: counts, Memo: memo,
+	sup := &Support{Platform: p, Attrs: attrs, Counts: counts, Memo: memo, plan: plan,
 		Prices: make([]crowd.Cost, len(attrs)), All: make([]int, len(attrs))}
 	pricing := p.Pricing()
 	for i, a := range attrs {
@@ -184,11 +153,12 @@ type Pace struct {
 }
 
 // Answers is one object's acquisition state over a Support. For each
-// attribute it holds the answers bought so far (and their workers when
-// asked for), the round index, a done latch (b(a) reached, stable, or
-// served by the memo), the stopping test, and the running mean with its
-// confidence halfwidth. Round and Full fill it, each in exactly one
-// Values exchange.
+// attribute it holds the answers taken so far (and their workers when
+// asked for), how many of them the platform delivered, the round index,
+// a done latch (b(a) reached or stable), the stopping test, and the
+// running mean with its confidence halfwidth. Round, Full and the
+// reallocation boost fill it, each in exactly one exchange through the
+// memo.
 type Answers struct {
 	sup  *Support
 	pace Pace
@@ -200,20 +170,20 @@ type Answers struct {
 	Stats Stats
 
 	attrs []attrAnswers
-	// Exchange and memo buffers: the support index of each queued
-	// question and of each question Full resolves, and buy bound once.
-	qs    []crowd.ObjectValueQuestion
-	idx   []int
-	rq    []ReuseQuestion
-	rqIdx []int
-	pay   func(miss []int) ([]float64, error)
+	// The queued exchange: its questions and each one's support index;
+	// ask bound once as the memo's payment.
+	qs  []crowd.ObjectValueQuestion
+	idx []int
+	pay func([]crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error)
 }
 
 // attrAnswers is one attribute's slice of an Answers state; its answer
-// count is len(values).
+// count is len(values), of which the first bought came from the
+// platform and the rest from the memo.
 type attrAnswers struct {
 	values  []float64
 	workers []int
+	bought  int
 	test    *sprt.MeanTest
 	round   int
 	done    bool
@@ -225,7 +195,7 @@ func (sup *Support) Object(o *domain.Object, pace Pace) *Answers {
 	k := len(sup.Attrs)
 	buf := make([]float64, 2*k)
 	s := &Answers{sup: sup, Means: buf[:k:k], HW: buf[k:], attrs: make([]attrAnswers, k)}
-	s.pay = s.buy
+	s.pay = s.ask
 	s.Reset(o, pace)
 	return s
 }
@@ -246,15 +216,15 @@ func (s *Answers) Reset(o *domain.Object, pace Pace) {
 // Done reports whether attribute j needs no more answers.
 func (s *Answers) Done(j int) bool { return s.attrs[j].done }
 
-// Asked returns how many answers attribute j has bought.
+// Asked returns how many answers attribute j holds.
 func (s *Answers) Asked(j int) int { return len(s.attrs[j].values) }
 
 // Skipped returns how many of the object's b(a) answers it has not
-// bought.
+// bought: never taken, or served by the memo.
 func (s *Answers) Skipped() int64 {
 	var n int64
 	for j, a := range s.attrs {
-		if gap := s.sup.Counts[j] - len(a.values); gap > 0 {
+		if gap := s.sup.Counts[j] - a.bought; gap > 0 {
 			n += int64(gap)
 		}
 	}
@@ -262,16 +232,15 @@ func (s *Answers) Skipped() int64 {
 }
 
 // Round advances every listed attribute that is not done by one step of
-// RoundTarget pacing, in one exchange; an attribute reaching b(a) is
-// published to the memo. It reports false when nothing was left to ask,
-// or when an exchange past the scheduled rounds brought no new answers —
-// a platform returning persistently short batches ends the walk instead
-// of spinning it.
+// RoundTarget pacing, in one exchange. It reports false when nothing was
+// left to ask, or when an exchange past the scheduled rounds brought no
+// new answers — a platform returning persistently short batches ends the
+// walk instead of spinning it.
 func (s *Answers) Round(deps []int) (bool, error) {
 	late := true
 	for _, j := range deps {
 		a := &s.attrs[j]
-		if a.done || s.peek(j) {
+		if a.done {
 			continue
 		}
 		to := RoundTarget(a.round, len(a.values), s.sup.Counts[j], s.pace.MinAnswers, s.pace.Rounds)
@@ -284,79 +253,51 @@ func (s *Answers) Round(deps []int) (bool, error) {
 	if len(s.qs) == 0 {
 		return false, nil
 	}
-	grew, err := s.exchange(true)
+	grew, err := s.exchange()
 	return grew || !late, err
 }
 
-// Full pays every listed attribute that is not done up to b(a) through
-// the memo: held means are reused, the rest are bought in one exchange.
+// Full takes every listed attribute that is not done to b(a) in one
+// exchange.
 func (s *Answers) Full(deps []int) error {
-	s.rq, s.rqIdx = s.rq[:0], s.rqIdx[:0]
 	for _, j := range deps {
 		if !s.attrs[j].done {
-			s.rq = append(s.rq, s.question(j))
-			s.rqIdx = append(s.rqIdx, j)
+			s.queue(j, s.sup.Counts[j])
 		}
 	}
-	if len(s.rq) == 0 {
+	if len(s.qs) == 0 {
 		return nil
 	}
-	means, reused, err := s.sup.Memo.Resolve(s.rq, s.pay)
-	if err != nil {
-		return err
-	}
-	for k, j := range s.rqIdx {
-		if reused[k] {
-			s.reuse(j, means[k])
-		}
-	}
-	return nil
-}
-
-// buy is Full's memo payment: the missing questions in one exchange.
-func (s *Answers) buy(miss []int) ([]float64, error) {
-	for _, k := range miss {
-		s.queue(s.rqIdx[k], s.sup.Counts[s.rqIdx[k]])
-	}
-	if _, err := s.exchange(false); err != nil {
-		return nil, err
-	}
-	paid := make([]float64, len(miss))
-	for n, k := range miss {
-		paid[n] = s.Means[s.rqIdx[k]]
-	}
-	return paid, nil
-}
-
-// question is attribute j's full-budget memo key.
-func (s *Answers) question(j int) ReuseQuestion {
-	return ReuseQuestion{ObjectID: s.obj.ID, Attr: s.sup.Attrs[j], N: s.sup.Counts[j]}
-}
-
-// boost buys n answers of attribute j beyond what it holds.
-func (s *Answers) boost(j, n int) error {
-	s.queue(j, len(s.attrs[j].values)+n)
-	_, err := s.exchange(false)
+	_, err := s.exchange()
 	return err
 }
 
-// peek serves attribute j from the memo when it holds the full-budget
-// mean — strictly better information than any partial prefix.
-func (s *Answers) peek(j int) bool {
-	v, ok := s.sup.Memo.Peek(s.question(j))
-	if ok {
-		s.reuse(j, v)
-	}
-	return ok
+// boost takes n answers of attribute j beyond what it holds.
+func (s *Answers) boost(j, n int) error {
+	s.queue(j, len(s.attrs[j].values)+n)
+	_, err := s.exchange()
+	return err
 }
 
-// reuse installs a memo mean for attribute j and books the answers the
-// object no longer has to buy.
-func (s *Answers) reuse(j int, mean float64) {
-	n := int64(s.sup.Counts[j] - len(s.attrs[j].values))
-	s.Stats.AnswersReused += n
-	s.Stats.SpendSavedMills += n * int64(s.sup.Prices[j])
-	s.Means[j], s.HW[j], s.attrs[j].done = mean, 0, true
+// own books the answers the memo served this state that the session
+// bought itself in an earlier state — paid[j] of attribute j — as asked
+// rather than reused.
+func (s *Answers) own(paid []int) {
+	for j := range s.attrs {
+		a := &s.attrs[j]
+		if n := min(paid[j], len(a.values)) - a.bought; n > 0 {
+			a.bought += n
+			s.book(j, n, -n)
+		}
+	}
+}
+
+// book counts asked answers of attribute j bought and reused answers
+// served (negative counts move answers between the two).
+func (s *Answers) book(j, asked, reused int) {
+	s.Stats.QuestionsAsked += int64(asked)
+	s.Stats.AnswersReused += int64(reused)
+	s.Stats.SpendSavedMills += int64(reused) * int64(s.sup.Prices[j])
 }
 
 func (s *Answers) queue(j, n int) {
@@ -364,51 +305,83 @@ func (s *Answers) queue(j, n int) {
 	s.idx = append(s.idx, j)
 }
 
-// exchange sends the queued questions as one Values call and folds the
-// answers in, publishing attributes that reach b(a) when publish is set.
-// It reports whether any attribute gained answers.
-func (s *Answers) exchange(publish bool) (bool, error) {
+// exchange resolves the queued questions through the memo (straight
+// from the platform without one) and folds the answers in. It reports
+// whether any attribute gained answers.
+func (s *Answers) exchange() (bool, error) {
 	qs, idx := s.qs, s.idx
 	s.qs, s.idx = qs[:0], idx[:0]
-	answers, err := s.sup.Platform.Values(qs)
-	if err != nil {
-		return false, fmt.Errorf("adaptive: value questions: %w", err)
+	var answers []crowd.ValueAnswers
+	var reused []bool
+	var err error
+	if s.sup.Memo != nil {
+		answers, reused, err = s.sup.Memo.Resolve(qs, s.pay)
+	} else {
+		answers, err = s.ask(qs)
 	}
-	if len(answers) != len(qs) {
-		return false, fmt.Errorf("adaptive: value batch returned %d answer sets, want %d", len(answers), len(qs))
+	if err != nil {
+		return false, err
 	}
 	grew := false
 	for k, j := range idx {
-		n, err := s.ingest(j, answers[k])
+		n, err := s.ingest(j, qs[k].N, answers[k], reused != nil && reused[k])
 		if err != nil {
 			return grew, err
 		}
 		grew = grew || n > 0
-		if publish && len(s.attrs[j].values) >= s.sup.Counts[j] {
-			s.sup.Memo.Publish(s.question(j), s.Means[j])
-		}
 	}
 	return grew, nil
 }
 
+// ask buys qs from the platform in one Values exchange.
+func (s *Answers) ask(qs []crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
+	answers, err := s.sup.Platform.Values(qs)
+	if err != nil {
+		return nil, fmt.Errorf("adaptive: value questions: %w", err)
+	}
+	if len(answers) != len(qs) {
+		return nil, fmt.Errorf("adaptive: value batch returned %d answer sets, want %d", len(answers), len(qs))
+	}
+	return answers, nil
+}
+
 // ingest appends the unseen suffix of attribute j's cumulative answers
-// (and of their workers, when they flow), recomputes its mean with the
-// same stats.Mean the fixed path uses — so a fully fetched attribute's
-// mean is bit-identical to EstimateObject's — and feeds its stopping
-// test. A platform returning fewer answers than were already taken is
-// an error.
-func (s *Answers) ingest(j int, ans crowd.ValueAnswers) (int, error) {
+// to a question for n (and of their workers, when they flow), recomputes
+// its mean with the same stats.Mean the fixed path uses — so a fully
+// fetched attribute's mean is bit-identical to EstimateObject's — and
+// feeds its stopping test. A prefix the memo served is taken to n, or
+// to max(n, b(a)) when it holds b(a) answers: a full-budget hit finishes
+// the attribute, while a shorter one replays the rounds of the session
+// that stored it. Served answers are booked as reused; a purchase is
+// booked as asked, including the answers of it the memo served earlier.
+// A platform returning fewer answers than were already taken is an
+// error.
+func (s *Answers) ingest(j, n int, ans crowd.ValueAnswers, served bool) (int, error) {
 	a := &s.attrs[j]
 	had := len(a.values)
-	if len(ans.Values) < had {
-		return 0, fmt.Errorf("adaptive: platform shrank %q answers %d → %d", s.sup.Attrs[j], had, len(ans.Values))
+	vals := ans.Values
+	if served {
+		// Serves guarantees len(vals) ≥ n.
+		take := n
+		if len(vals) >= s.sup.Counts[j] {
+			take = max(n, s.sup.Counts[j])
+		}
+		vals = vals[:take]
 	}
-	fresh := ans.Values[had:]
+	if len(vals) < had {
+		return 0, fmt.Errorf("adaptive: platform shrank %q answers %d → %d", s.sup.Attrs[j], had, len(vals))
+	}
+	fresh := vals[had:]
 	a.values = append(a.values, fresh...)
 	if s.pace.Workers && len(ans.Workers) == len(ans.Values) {
-		a.workers = append(a.workers, ans.Workers[had:]...)
+		a.workers = append(a.workers, ans.Workers[had:len(vals)]...)
 	}
-	s.Stats.QuestionsAsked += int64(len(fresh))
+	if served {
+		s.book(j, 0, len(fresh))
+	} else {
+		s.book(j, len(vals)-a.bought, a.bought-had)
+		a.bought = len(vals)
+	}
 	s.Means[j] = stats.Mean(a.values)
 	if s.pace.Tests != nil {
 		if a.test == nil {

@@ -126,16 +126,15 @@ func (c Config) withDefaults() Config {
 // stopping reports whether sequential stopping is structurally active.
 func (c Config) stopping() bool { return !math.IsInf(c.Z, 1) }
 
-// Evaluator runs the adaptive online phase for one plan over one
-// platform. Estimate is safe for concurrent use after Calibrate; the
-// reallocation pool and the counters are the only shared mutable state
+// Evaluator runs the online phase for one plan over one Support.
+// Estimate is safe for concurrent use after Calibrate; the reallocation
+// pool and the counters are the only shared mutable state
 // (mutex-guarded; acquisition states are recycled through a sync.Pool),
 // so adaptive results are deterministic at parallelism 1 and vary only
 // in boost placement — never in total spend bound — under concurrency.
 type Evaluator struct {
-	sup  *Support
-	plan *core.Plan
-	cfg  Config
+	sup *Support
+	cfg Config
 
 	// sens is the sensitivity max_t |∂estimate_t/∂mean_a| / σ_t — the
 	// score scale of the reallocation bandit.
@@ -144,15 +143,17 @@ type Evaluator struct {
 	// accepts once its confidence halfwidth is within Tol/sensitivity
 	// (+Inf for attributes no regression uses) and is capped at b(a), or
 	// at the boost ceiling when reallocating. walk paces the rest, which
-	// stop at b(a).
+	// stop at b(a). sens and stop are built only when stopping is on.
 	stop, walk Pace
 
 	weights map[int]float64 // worker → reliability (nil = flat mean)
-	// pilot holds the IDs of objects the calibration pass already asked
-	// at full b(a). Their answers are paid for whether or not Estimate
-	// consumes them, so stopping early on a pilot object saves no money —
-	// Estimate runs them at the full fixed budget and counts no savings.
-	pilot map[int]bool
+	// pilot holds, per object the calibration pass asked at full b(a),
+	// how many answers of each attribute it bought. Those answers are
+	// paid for whether or not Estimate consumes them, so stopping early
+	// on a pilot object saves no money — Estimate runs them at the full
+	// fixed budget and counts no savings, and reading them back through
+	// the memo books them as asked, not reused.
+	pilot map[int][]int
 
 	// states recycles Estimate's acquisition states across objects.
 	states sync.Pool
@@ -162,23 +163,32 @@ type Evaluator struct {
 	stats     Stats
 }
 
-// New builds an evaluator for the plan over the platform.
+// New builds an evaluator for the plan over the platform, without an
+// answer memo.
 func New(p crowd.Platform, plan *core.Plan, cfg Config) (*Evaluator, error) {
 	if p == nil || plan == nil {
 		return nil, errors.New("adaptive: nil platform or plan")
 	}
-	cfg = cfg.withDefaults()
 	sup, err := NewSupport(p, plan, nil)
 	if err != nil {
 		return nil, err
 	}
-	k := len(sup.Attrs)
-	e := &Evaluator{
-		sup: sup, plan: plan, cfg: cfg,
-		sens: make([]float64, k),
-		stop: Pace{MinAnswers: cfg.MinAnswers, Rounds: cfg.Rounds, Tests: make([]sprt.MeanConfig, k)},
-		walk: Pace{MinAnswers: cfg.MinAnswers, Rounds: cfg.Rounds},
+	return sup.Evaluator(cfg), nil
+}
+
+// Evaluator builds an evaluator over the support. Disabled() gives the
+// fixed-budget evaluator, which reads through the support's memo when
+// it has one; the sensitivities and stopping tests are computed only
+// when stopping is on, so it stays cheap to build per session.
+func (sup *Support) Evaluator(cfg Config) *Evaluator {
+	cfg = cfg.withDefaults()
+	e := &Evaluator{sup: sup, cfg: cfg, walk: Pace{MinAnswers: cfg.MinAnswers, Rounds: cfg.Rounds}}
+	if !cfg.stopping() {
+		return e
 	}
+	k := len(sup.Attrs)
+	e.sens = make([]float64, k)
+	e.stop = Pace{MinAnswers: cfg.MinAnswers, Rounds: cfg.Rounds, Tests: make([]sprt.MeanConfig, k)}
 	for i, a := range sup.Attrs {
 		e.sens[i] = e.sensitivity(a)
 		tol := math.Inf(1) // unused attribute: stop at MinAnswers
@@ -191,7 +201,7 @@ func New(p crowd.Platform, plan *core.Plan, cfg Config) (*Evaluator, error) {
 		}
 		e.stop.Tests[i] = sprt.MeanConfig{Z: cfg.Z, Tol: tol, MinObservations: cfg.MinAnswers, MaxObservations: maxObs}
 	}
-	return e, nil
+	return e
 }
 
 // sensitivity returns max over targets of |∂estimate_t/∂mean_a| / σ_t:
@@ -202,8 +212,9 @@ func New(p crowd.Platform, plan *core.Plan, cfg Config) (*Evaluator, error) {
 // Tol into an absolute halfwidth budget per attribute.
 func (e *Evaluator) sensitivity(attr string) float64 {
 	out := 0.0
-	for _, t := range e.plan.Targets {
-		reg := e.plan.Regressions[t]
+	plan := e.sup.plan
+	for _, t := range plan.Targets {
+		reg := plan.Regressions[t]
 		if reg == nil {
 			continue
 		}
@@ -267,12 +278,16 @@ func (e *Evaluator) Calibrate(objs []*domain.Object) error {
 			return fmt.Errorf("adaptive: calibration pilot: %w", err)
 		}
 		// The money for this object's full b(a) is spent now, whether or
-		// not the scoring below succeeds: mark it so Estimate never
-		// counts its unconsumed answers as savings.
+		// not the scoring below succeeds: record what it bought so
+		// Estimate never counts its unconsumed answers as savings.
 		if e.pilot == nil {
-			e.pilot = make(map[int]bool, n)
+			e.pilot = make(map[int][]int, n)
 		}
-		e.pilot[o.ID] = true
+		paid := make([]int, len(s.attrs))
+		for j := range s.attrs {
+			paid[j] = s.attrs[j].bought
+		}
+		e.pilot[o.ID] = paid
 		for _, a := range s.attrs {
 			if len(a.workers) != len(a.values) {
 				return nil // the platform cannot tell who answered
@@ -298,10 +313,12 @@ func (e *Evaluator) Calibrate(objs []*domain.Object) error {
 	return nil
 }
 
-// Estimate runs the adaptive online phase for one object and returns
-// one estimate per target, exactly like core.Plan.EstimateObject: every
+// Estimate runs the online phase for one object and returns one
+// estimate per target, exactly like core.Plan.EstimateObject: every
 // support attribute walks round by round until its stopping test is
-// stable or it reaches b(a), then reallocation spends the savings.
+// stable or it reaches b(a), then reallocation spends the savings. With
+// nothing stopping and nothing weighted it takes the fixed path — one
+// Resolve through the memo, or core.Plan.EstimateObject without one.
 func (e *Evaluator) Estimate(o *domain.Object) (map[string]float64, error) {
 	if o == nil {
 		return nil, errors.New("adaptive: nil object")
@@ -309,12 +326,13 @@ func (e *Evaluator) Estimate(o *domain.Object) (map[string]float64, error) {
 	// A pilot object's full b(a) prefix was already paid for during
 	// Calibrate, so stopping early on it saves nothing — consume every
 	// answer (best accuracy, zero marginal cost) and count no savings.
-	stopping := e.cfg.stopping() && !e.pilot[o.ID]
-	if !stopping && e.weights == nil {
-		// Nothing stops and nothing is weighted: the fixed path.
-		est, err := e.plan.EstimateObject(e.sup.Platform, o)
+	paid, pilot := e.pilot[o.ID]
+	stopping := e.cfg.stopping() && !pilot
+	plan := e.sup.plan
+	if !stopping && e.weights == nil && e.sup.Memo == nil {
+		est, err := plan.EstimateObject(e.sup.Platform, o)
 		if err == nil {
-			e.book(Stats{Objects: 1, QuestionsAsked: e.plan.PerObjectAnswers()})
+			e.book(Stats{Objects: 1, QuestionsAsked: plan.PerObjectAnswers()})
 		}
 		return est, err
 	}
@@ -329,28 +347,57 @@ func (e *Evaluator) Estimate(o *domain.Object) (map[string]float64, error) {
 		s.Reset(o, pace)
 	}
 	defer e.states.Put(s)
-	for {
-		more, err := s.Round(e.sup.All)
-		if err != nil {
-			e.book(s.Stats)
-			return nil, err
-		}
-		if !more {
-			break
-		}
+	if err := e.settle(s, e.sup.All, stopping); err != nil {
+		e.book(s.Stats)
+		return nil, err
 	}
-	s.Stats.Objects = 1
-	if stopping {
-		s.Stats.QuestionsSkipped = s.Skipped()
-		e.reallocate(s)
+	if pilot {
+		s.own(paid)
 	}
+	s.Stats.Objects, s.Stats.QuestionsSkipped = 1, s.Skipped()
 	e.book(s.Stats)
 	if e.weights != nil {
 		for i := range s.attrs {
 			s.Means[i] = e.weightedMean(&s.attrs[i], s.Means[i])
 		}
 	}
-	return e.plan.PredictFromMeans(s.Means)
+	return plan.PredictFromMeans(s.Means)
+}
+
+// Settle takes the listed attributes of an object acquired under
+// another Pace — the lazy engine's survivors' SELECT dependencies — to
+// the evaluator's policy: to b(a) in one exchange when nothing stops,
+// and otherwise round by round under the stopping tests, with
+// reallocation drawing on and boosting only these attributes. The
+// evaluator's counters are not booked; the caller books s.Stats.
+func (e *Evaluator) Settle(s *Answers, deps []int) error {
+	stopping := e.cfg.stopping()
+	if stopping {
+		s.pace = e.stop
+	}
+	return e.settle(s, deps, stopping)
+}
+
+// settle acquires deps: in one Full exchange when nothing stops and
+// nothing is weighted, otherwise round by round until every one is
+// done, reallocating stopping's savings among them.
+func (e *Evaluator) settle(s *Answers, deps []int, stopping bool) error {
+	if !stopping && e.weights == nil {
+		return s.Full(deps)
+	}
+	for {
+		more, err := s.Round(deps)
+		if err != nil {
+			return err
+		}
+		if !more {
+			break
+		}
+	}
+	if stopping {
+		e.reallocate(s, deps)
+	}
+	return nil
 }
 
 // RoundTarget is the incremental asking schedule Answers.Round paces
@@ -385,27 +432,29 @@ func (e *Evaluator) hardMax(i int) int {
 	return e.sup.Counts[i] + int(e.cfg.MaxBoost*float64(e.sup.Counts[i]))
 }
 
-// reallocate runs the bandit extension: questions saved by stopped
-// attributes fund extra chunks for the attribute with the largest
-// sensitivity-scaled confidence halfwidth (the biggest marginal error
-// reduction per answer), first from this object's own savings and then
-// from the cross-object pool. Unspent savings are deposited for later
-// objects. Boost failures from budget exhaustion end the extension
-// quietly — the object keeps a valid estimate either way.
-func (e *Evaluator) reallocate(s *Answers) {
+// reallocate runs the bandit extension over deps: questions saved by
+// stopped attributes fund extra chunks for the attribute with the
+// largest sensitivity-scaled confidence halfwidth (the biggest marginal
+// error reduction per answer), first from this object's own savings and
+// then from the cross-object pool. Unspent savings are deposited for
+// later objects. Attributes without a stopping test are never boosted.
+// Boost failures from budget exhaustion end the extension quietly — the
+// object keeps a valid estimate either way.
+func (e *Evaluator) reallocate(s *Answers, deps []int) {
 	if !e.cfg.Reallocate {
 		return
 	}
 	var budget crowd.Cost
-	for i, a := range s.attrs {
-		if gap := e.sup.Counts[i] - len(a.values); gap > 0 {
+	for _, i := range deps {
+		if gap := e.sup.Counts[i] - len(s.attrs[i].values); gap > 0 {
 			budget += crowd.Cost(gap) * e.sup.Prices[i]
 		}
 	}
 	for round := 0; round < e.cfg.BoostRounds; round++ {
 		best, bestScore := -1, 0.0
-		for i, a := range s.attrs {
-			if n := len(a.values); a.test.Stable() || n < e.sup.Counts[i] || n >= e.hardMax(i) {
+		for _, i := range deps {
+			a := &s.attrs[i]
+			if n := len(a.values); a.test == nil || a.test.Stable() || n < e.sup.Counts[i] || n >= e.hardMax(i) {
 				continue
 			}
 			if score := a.test.StdErr() * e.sens[i]; best < 0 || score > bestScore {

@@ -93,6 +93,7 @@ func FuzzQueryWire(f *testing.F) {
 		{Statement: "SELECT Calories ORDER BY Protein DESC LIMIT 3", Lazy: true},
 		{Statement: "SELECT Protein", Adaptive: true},
 		{Statement: "SELECT Protein WHERE Calories < 400", ObjectIDs: []int{3, 1}, ReuseAnswers: true},
+		{Statement: "SELECT Protein WHERE Dessert > 0.5", Adaptive: true, Lazy: true, ReuseAnswers: true},
 	} {
 		body, err := json.Marshal(wireOf(req))
 		if err != nil {

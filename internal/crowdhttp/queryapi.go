@@ -45,7 +45,7 @@ type queryWire struct {
 	BPrcMills  int64  `json:"b_prc_mills,omitempty"`
 	Adaptive   bool   `json:"adaptive,omitempty"`
 	// Lazy runs the session through the lazy short-circuit evaluator
-	// (mutually exclusive with Adaptive, mirroring serve.Request).
+	// (serve.Request.Lazy); it composes with Adaptive and Reuse.
 	Lazy bool `json:"lazy,omitempty"`
 	// Shards overrides the server tier's shard count for this session
 	// (0 = server default). The scatter happens tier-side: the client

@@ -2,10 +2,12 @@ package crowdhttp
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -325,5 +327,43 @@ func TestQueryAPIAdaptiveCrossesTheWire(t *testing.T) {
 	}
 	if got := st.Classes[serve.DefaultClass].AdaptiveSessions; got != 1 {
 		t.Fatalf("remote AdaptiveSessions = %d, want 1", got)
+	}
+}
+
+// TestQueryAPIComposedModesCrossTheWire posts one statement twice with
+// adaptive, lazy and reuse all set: both sessions run (no mode refuses
+// another), both results carry the three flags, and the second is served
+// from the tier's answer cache — the same rows at lower spend.
+func TestQueryAPIComposedModesCrossTheWire(t *testing.T) {
+	_, ts := newQueryFixture(t, 1, serve.Config{AnswerCache: 1024})
+	const body = `{"statement":"SELECT Protein WHERE Dessert > 0.5","adaptive":true,"lazy":true,"reuse":true}`
+	post := func() serve.Result {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+PathServeQuery, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, want 200", resp.StatusCode)
+		}
+		var res serve.Result
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		if !res.Adaptive || !res.Lazy || !res.Reuse {
+			t.Fatalf("flags lost: adaptive %v lazy %v reuse %v", res.Adaptive, res.Lazy, res.Reuse)
+		}
+		return res
+	}
+	cold, warm := post(), post()
+	if cold.OnlineSpent == 0 {
+		t.Fatal("cold session spent nothing")
+	}
+	if warm.OnlineSpent >= cold.OnlineSpent {
+		t.Fatalf("warm spend %v not below cold %v", warm.OnlineSpent, cold.OnlineSpent)
+	}
+	if !reflect.DeepEqual(warm.Rows, cold.Rows) {
+		t.Fatalf("warm rows %+v, cold %+v", warm.Rows, cold.Rows)
 	}
 }

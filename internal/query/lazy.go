@@ -96,11 +96,13 @@ type lazyPred struct {
 
 // lazyRun is the per-Execute state of the lazy evaluator: it decides
 // which support attributes each object's acquisition (adaptive.Answers)
-// fetches next, and books into the engine's stats.
+// fetches next, settles the survivors through the session's evaluator,
+// and books into the engine's stats.
 type lazyRun struct {
 	e    *Engine
 	st   *Statement
 	cfg  LazyConfig
+	ev   *adaptive.Evaluator
 	sup  *adaptive.Support
 	pace adaptive.Pace
 	s    *adaptive.Answers // reset for each object
@@ -136,12 +138,8 @@ func (r *lazyRun) object(o *domain.Object) (ResultRow, bool, error) {
 	return row, keep, err
 }
 
-func newLazyRun(e *Engine, st *Statement, cfg LazyConfig) (*lazyRun, error) {
-	sup, err := adaptive.NewSupport(e.platform, e.plan, e.memo)
-	if err != nil {
-		return nil, err
-	}
-	r := &lazyRun{e: e, st: st, cfg: cfg, sup: sup,
+func newLazyRun(e *Engine, st *Statement, cfg LazyConfig, sup *adaptive.Support, ev *adaptive.Evaluator) (*lazyRun, error) {
+	r := &lazyRun{e: e, st: st, cfg: cfg, ev: ev, sup: sup,
 		pace: adaptive.Pace{MinAnswers: cfg.MinAnswers, Rounds: cfg.Rounds}}
 	if cfg.earlyStop() {
 		// Tol 0: the test accepts only on unanimity (stderr exactly 0) —
@@ -156,6 +154,7 @@ func newLazyRun(e *Engine, st *Statement, cfg LazyConfig) (*lazyRun, error) {
 	r.progs = make(map[string]*core.TargetProgram, len(e.plan.Targets))
 	for _, t := range e.plan.Targets {
 		if r.progs[canon(t)] == nil {
+			var err error
 			if r.progs[canon(t)], err = e.plan.TargetProgram(t); err != nil {
 				return nil, err
 			}
@@ -203,8 +202,8 @@ func newLazyRun(e *Engine, st *Statement, cfg LazyConfig) (*lazyRun, error) {
 }
 
 // evalObject runs one object through the predicate chain, the top-k
-// prune and the SELECT fetch. keep is false for rejected or pruned
-// objects.
+// prune and the settling of its SELECT dependencies. keep is false for
+// rejected or pruned objects.
 func (r *lazyRun) evalObject(o *domain.Object, s *adaptive.Answers) (ResultRow, bool, error) {
 	remaining := make([]int, len(r.preds))
 	for i := range r.preds {
@@ -246,7 +245,7 @@ func (r *lazyRun) evalObject(o *domain.Object, s *adaptive.Answers) (ResultRow, 
 			return ResultRow{}, false, nil
 		}
 	}
-	if err := s.Full(r.selDeps); err != nil {
+	if err := r.ev.Settle(s, r.selDeps); err != nil {
 		return ResultRow{}, false, err
 	}
 	canon := r.e.platform.Canonical

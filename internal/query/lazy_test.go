@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/crowdhttp"
@@ -305,21 +304,4 @@ func TestLazyConfidenceEarlyTermination(t *testing.T) {
 		t.Fatalf("non-deterministic: %+v/%v vs %+v/%v", stats2, spent2, stats, spent)
 	}
 	sameRows(t, rows2, rows, "repeat")
-}
-
-// TestLazyAdaptiveConflict: the two online evaluators own the asking
-// policy exclusively; combining them must fail loudly.
-func TestLazyAdaptiveConflict(t *testing.T) {
-	st := mustParse(t, "SELECT Protein")
-	plan := lazyPlan(t, st)
-	env := lazyFlavors(t)["sim"]()
-	eng, err := query.NewEngine(env.platform, plan, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetLazy(query.LazyDefaults())
-	eng.SetAdaptive(&adaptive.Config{})
-	if _, err := eng.Execute(st, env.objects); err == nil {
-		t.Fatal("adaptive+lazy should error")
-	}
 }

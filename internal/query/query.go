@@ -431,13 +431,17 @@ func sortRows(rows []ResultRow, desc bool) {
 type Stats = adaptive.Stats
 
 // Engine evaluates statements with a preprocessed plan over a platform.
+// Every mode runs over one adaptive.Evaluator per Execute: the
+// fixed-budget one unless the engine is adaptive, reading through the
+// answer memo when one is attached; the lazy modes settle their
+// survivors through it.
 type Engine struct {
 	platform crowd.Platform
 	plan     *core.Plan
 	adaptive *adaptive.Config
 	lazy     *LazyConfig
-	// memo, when set, shares fully-budgeted answer means within and
-	// across statements (see reuse.go).
+	// memo, when set, shares answer prefixes within and across
+	// statements (see reuse.go).
 	memo AnswerMemo
 	// stats carries the last Execute's counters.
 	stats Stats
@@ -469,7 +473,9 @@ func NewEngine(p crowd.Platform, plan *core.Plan, st *Statement) (*Engine, error
 // (internal/adaptive): sequential stopping, reliability weighting and
 // budget reallocation per the config. Call with nil to restore the
 // fixed-budget path. The adaptive evaluator (and its savings pool) is
-// scoped to one Execute call — the natural session boundary.
+// scoped to one Execute call — the natural session boundary. Under a
+// lazy mode it runs without the calibration pilot, which would ask the
+// whole support at full budget.
 func (e *Engine) SetAdaptive(cfg *adaptive.Config) { e.adaptive = cfg }
 
 // SetLazy switches the engine onto the lazy predicate-ordered evaluator
@@ -477,17 +483,15 @@ func (e *Engine) SetAdaptive(cfg *adaptive.Config) { e.adaptive = cfg }
 // cheapest-rejection-first order, objects short-circuit on the first
 // failed predicate, and ORDER BY/LIMIT statements prune candidates whose
 // confidence bound cannot enter the top k. Call with nil to restore the
-// eager path. Lazy and adaptive modes are mutually exclusive — Execute
-// rejects the combination.
+// eager path.
 func (e *Engine) SetLazy(cfg *LazyConfig) { e.lazy = cfg }
 
-// SetReuse attaches an answer memo: fully-budgeted answer means are
-// published to it and served from it, so questions shared across
+// SetReuse attaches an answer memo: answer prefixes are served from it
+// and the ones bought are stored in it, so answers shared across
 // predicates, statements and sessions are bought at most once. Call with
-// nil to detach. The adaptive evaluator ignores the memo — its variable
-// answer counts have no full-budget means to share. With a memo attached
-// a warm Execute returns rows bit-equal to a cold one at strictly lower
-// spend (the deterministic-crowd contract reuse.go documents).
+// nil to detach. With a memo attached a warm Execute returns rows
+// bit-equal to a cold one at lower spend (the deterministic-crowd
+// contract adaptive.AnswerMemo documents).
 func (e *Engine) SetReuse(m AnswerMemo) { e.memo = m }
 
 // Stats returns the counters of the last Execute.
@@ -498,7 +502,26 @@ func (e *Engine) Stats() Stats { return e.stats }
 // satisfy every WHERE condition, with the SELECTed values.
 func (e *Engine) Execute(st *Statement, objects []*domain.Object) ([]ResultRow, error) {
 	e.stats = Stats{}
-	eval, err := e.evaluator(st, objects)
+	sup, err := adaptive.NewSupport(e.platform, e.plan, e.memo)
+	if err != nil {
+		return nil, err
+	}
+	cfg := adaptive.Disabled()
+	if e.adaptive != nil {
+		cfg = *e.adaptive
+	}
+	ev := sup.Evaluator(cfg)
+	rows, err := e.run(st, objects, sup, ev)
+	e.stats.Add(ev.Stats())
+	if err != nil {
+		return nil, err
+	}
+	return orderRows(st, rows), nil
+}
+
+// run evaluates every object and keeps the rows that pass.
+func (e *Engine) run(st *Statement, objects []*domain.Object, sup *adaptive.Support, ev *adaptive.Evaluator) ([]ResultRow, error) {
+	eval, err := e.evaluator(st, objects, sup, ev)
 	if err != nil {
 		return nil, err
 	}
@@ -512,82 +535,36 @@ func (e *Engine) Execute(st *Statement, objects []*domain.Object) ([]ResultRow, 
 			rows = append(rows, row)
 		}
 	}
-	return orderRows(st, rows), nil
+	return rows, nil
 }
 
-// evaluator returns the engine's per-object evaluation, which books into
-// e.stats. The lazy modes decide WHERE predicates one at a time (see
-// lazy.go); every other mode estimates the whole support before it
-// filters: through the adaptive Evaluator when one is set, and otherwise
-// on the fixed path's single exchange — core.Plan.EstimateObject without
-// a memo, one memo Resolve with one.
-func (e *Engine) evaluator(st *Statement, objects []*domain.Object) (func(*domain.Object) (ResultRow, bool, error), error) {
+// evaluator returns the engine's per-object evaluation. The lazy modes
+// decide WHERE predicates one at a time (see lazy.go) and book into
+// e.stats; every other mode estimates the whole support through the
+// evaluator, which books its own counters, before it filters.
+func (e *Engine) evaluator(st *Statement, objects []*domain.Object, sup *adaptive.Support, ev *adaptive.Evaluator) (func(*domain.Object) (ResultRow, bool, error), error) {
 	if e.lazy != nil {
-		if e.adaptive != nil {
-			return nil, errors.New("query: adaptive and lazy modes are mutually exclusive")
-		}
 		cfg := e.lazy.withDefaults()
 		if !(cfg.Z > 0) { // rejects NaN and negatives; +Inf allowed
 			return nil, fmt.Errorf("query: lazy Z must be > 0, got %v", cfg.Z)
 		}
 		if cfg.ShortCircuit || cfg.earlyStop() {
-			r, err := newLazyRun(e, st, cfg)
+			r, err := newLazyRun(e, st, cfg, sup, ev)
 			if err != nil {
 				return nil, err
 			}
 			return r.object, nil
 		}
-	}
-	estimate, err := e.estimator(objects)
-	if err != nil {
+	} else if err := ev.Calibrate(objects); err != nil {
 		return nil, err
 	}
 	return func(o *domain.Object) (ResultRow, bool, error) {
-		est, err := estimate(o)
+		est, err := ev.Estimate(o)
 		if err != nil {
 			return ResultRow{}, false, err
 		}
 		row, keep := e.buildRow(st, o, est)
 		return row, keep, nil
-	}, nil
-}
-
-// estimator returns the whole-support estimator of a non-lazy mode.
-func (e *Engine) estimator(objects []*domain.Object) (func(*domain.Object) (map[string]float64, error), error) {
-	if e.adaptive != nil {
-		ev, err := adaptive.New(e.platform, e.plan, *e.adaptive)
-		if err != nil {
-			return nil, err
-		}
-		err = ev.Calibrate(objects)
-		return func(o *domain.Object) (map[string]float64, error) {
-			est, err := ev.Estimate(o)
-			e.stats = ev.Stats()
-			return est, err
-		}, err
-	}
-	if e.memo == nil {
-		return func(o *domain.Object) (map[string]float64, error) {
-			est, err := e.plan.EstimateObject(e.platform, o)
-			if err == nil {
-				e.stats.Add(Stats{Objects: 1, QuestionsAsked: e.plan.PerObjectAnswers()})
-			}
-			return est, err
-		}, nil
-	}
-	sup, err := adaptive.NewSupport(e.platform, e.plan, e.memo)
-	if err != nil {
-		return nil, err
-	}
-	s := sup.Object(nil, adaptive.Pace{})
-	return func(o *domain.Object) (map[string]float64, error) {
-		s.Reset(o, adaptive.Pace{})
-		if err := s.Full(sup.All); err != nil {
-			return nil, err
-		}
-		s.Stats.Objects, s.Stats.QuestionsSkipped = 1, s.Skipped()
-		e.stats.Add(s.Stats)
-		return e.plan.PredictFromMeans(s.Means)
 	}, nil
 }
 

@@ -1,15 +1,15 @@
 package query
 
-import "repro/internal/adaptive"
+import (
+	"repro/internal/adaptive"
+	"repro/internal/crowd"
+)
 
-// ReuseQuestion identifies one fully-budgeted crowd question (object,
-// attribute, answer count N) — the key of the answer memo.
-type ReuseQuestion = adaptive.ReuseQuestion
-
-// AnswerMemo is the answer-reuse surface the query engine consults (see
-// adaptive.AnswerMemo). The serving tier's answer cache implements it
-// with single-flight fills and LRU/TTL eviction; MapMemo implements it
-// for single-goroutine scopes.
+// AnswerMemo is the answer-reuse surface the query engine reads through
+// (see adaptive.AnswerMemo): one answer prefix per (attribute, object).
+// The serving tier's answer cache implements it with single-flight
+// fills and LRU/TTL eviction; MapMemo implements it for single-goroutine
+// scopes.
 type AnswerMemo = adaptive.AnswerMemo
 
 // MapMemo is the minimal AnswerMemo: a plain map, no locking, no
@@ -17,23 +17,29 @@ type AnswerMemo = adaptive.AnswerMemo
 // statement, one bench arm, tests — while internal/serve's answer cache
 // provides the concurrent cross-session implementation.
 type MapMemo struct {
-	m map[ReuseQuestion]float64
+	m map[memoKey]crowd.ValueAnswers
+}
+
+// memoKey identifies one stored answer prefix.
+type memoKey struct {
+	attr   string
+	object int
 }
 
 // NewMapMemo returns an empty memo.
-func NewMapMemo() *MapMemo { return &MapMemo{m: make(map[ReuseQuestion]float64)} }
+func NewMapMemo() *MapMemo { return &MapMemo{m: make(map[memoKey]crowd.ValueAnswers)} }
 
 // Resolve implements AnswerMemo.
-func (m *MapMemo) Resolve(qs []ReuseQuestion, pay func(miss []int) ([]float64, error)) ([]float64, []bool, error) {
-	means := make([]float64, len(qs))
+func (m *MapMemo) Resolve(qs []crowd.ObjectValueQuestion, pay func([]crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error)) ([]crowd.ValueAnswers, []bool, error) {
+	out := make([]crowd.ValueAnswers, len(qs))
 	reused := make([]bool, len(qs))
-	var miss []int
+	var miss []crowd.ObjectValueQuestion
+	var at []int
 	for i, q := range qs {
-		if v, ok := m.m[q]; ok {
-			means[i] = v
-			reused[i] = true
+		if a, ok := m.m[memoKey{q.Attr, q.Object.ID}]; ok && adaptive.Serves(a, q) {
+			out[i], reused[i] = a, true
 		} else {
-			miss = append(miss, i)
+			miss, at = append(miss, q), append(at, i)
 		}
 	}
 	if len(miss) > 0 {
@@ -41,26 +47,13 @@ func (m *MapMemo) Resolve(qs []ReuseQuestion, pay func(miss []int) ([]float64, e
 		if err != nil {
 			return nil, nil, err
 		}
-		for k, i := range miss {
-			means[i] = paid[k]
-			m.m[qs[i]] = paid[k]
+		for k, i := range at {
+			out[i] = paid[k]
+			m.m[memoKey{qs[i].Attr, qs[i].Object.ID}] = paid[k]
 		}
 	}
-	return means, reused, nil
+	return out, reused, nil
 }
 
-// Peek implements AnswerMemo.
-func (m *MapMemo) Peek(q ReuseQuestion) (float64, bool) {
-	v, ok := m.m[q]
-	return v, ok
-}
-
-// Publish implements AnswerMemo.
-func (m *MapMemo) Publish(q ReuseQuestion, mean float64) {
-	if _, ok := m.m[q]; !ok {
-		m.m[q] = mean
-	}
-}
-
-// Len reports the number of cached questions.
+// Len reports the number of stored prefixes.
 func (m *MapMemo) Len() int { return len(m.m) }

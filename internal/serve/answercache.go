@@ -6,21 +6,25 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/adaptive"
+	"repro/internal/crowd"
 	"repro/internal/query"
 )
 
-// answerCache is the tier's shared answer-reuse layer: it caches
-// fully-budgeted answer means per (domain, attribute, object,
-// per-question budget tier) with single-flight fills, so concurrent
-// sessions — and the per-shard sub-sessions of one scattered query —
-// asking the same crowd question coalesce into one purchase. Waiters on
-// an in-flight fill count as hits: they pay nothing.
+// answerCache is the tier's shared answer-reuse layer: it caches one
+// answer prefix per (domain, attribute, object) — the values, plus their
+// workers when a question asked for them — with single-flight fills, so
+// concurrent sessions, and the per-shard sub-sessions of one scattered
+// query, asking the same crowd question coalesce into one purchase. A
+// prefix serves every question it holds enough answers for, so
+// fixed-budget, lazy and adaptive sessions read one entry. Waiters on an
+// in-flight fill count as hits: they pay nothing.
 //
-// Safety of reuse rests on the deterministic crowd: a question's
-// full-budget mean is a pure function of (object, attribute, N), so the
-// cached copy is bit-identical to what a fresh purchase would compute
-// (reuse.go documents the contract). The cache therefore changes spend,
-// never output bits.
+// Safety of reuse rests on the deterministic crowd: answer i of an
+// (object, attribute) is a pure function of the key and i, so the cached
+// copy is bit-identical to what a fresh purchase would return
+// (adaptive.AnswerMemo documents the contract). The cache therefore
+// changes spend, never output bits.
 //
 // Eviction is LRU over ready entries, bounded by cap; in-flight fills
 // are never evictable (their fillers hold the only reference waiters
@@ -39,32 +43,29 @@ type answerCache struct {
 	hits        atomic.Int64
 	misses      atomic.Int64
 	waits       atomic.Int64 // resolves coalesced onto an in-flight fill
-	published   atomic.Int64 // means offered by lazy sessions' Publish
 	evictions   atomic.Int64
 	expirations atomic.Int64
 }
 
-// answerKey identifies one cached mean. The answer count n is part of
-// the key: means over different per-question budgets are different
-// quantities and must never alias.
+// answerKey identifies one cached answer prefix.
 type answerKey struct {
 	domain string
 	attr   string
 	object int
-	n      int
 }
 
-// answerEntry is one mean, possibly still being bought. ready is closed
-// when mean/failed are final; elem links the entry into the LRU order
-// once it is ready. Entries are immutable after ready closes, so readers
-// holding a pointer across an eviction stay safe.
+// answerEntry is one prefix, possibly still being bought. ready is
+// closed when answers/failed are final; elem links the entry into the
+// LRU order once it is ready. Entries are immutable after ready closes,
+// so readers holding a pointer across an eviction or a replacement stay
+// safe.
 type answerEntry struct {
-	key    answerKey
-	ready  chan struct{}
-	mean   float64
-	failed bool
-	filled time.Time
-	elem   *list.Element
+	key     answerKey
+	ready   chan struct{}
+	answers crowd.ValueAnswers
+	failed  bool
+	filled  time.Time
+	elem    *list.Element
 }
 
 func newAnswerCache(capacity int, ttl time.Duration, now func() time.Time) *answerCache {
@@ -77,6 +78,9 @@ func newAnswerCache(capacity int, ttl time.Duration, now func() time.Time) *answ
 	}
 }
 
+// payFunc buys a batch of value questions from the crowd.
+type payFunc = func([]crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error)
+
 // memoFor adapts the cache to the query engine's AnswerMemo interface,
 // scoped to one domain.
 func (c *answerCache) memoFor(domain string) query.AnswerMemo {
@@ -88,16 +92,8 @@ type domainMemo struct {
 	domain string
 }
 
-func (m domainMemo) Resolve(qs []query.ReuseQuestion, pay func(miss []int) ([]float64, error)) ([]float64, []bool, error) {
+func (m domainMemo) Resolve(qs []crowd.ObjectValueQuestion, pay payFunc) ([]crowd.ValueAnswers, []bool, error) {
 	return m.c.resolve(m.domain, qs, pay)
-}
-
-func (m domainMemo) Peek(q query.ReuseQuestion) (float64, bool) {
-	return m.c.peek(m.domain, q)
-}
-
-func (m domainMemo) Publish(q query.ReuseQuestion, mean float64) {
-	m.c.publish(m.domain, q, mean)
 }
 
 // lookupLocked finds key's live entry, enforcing the TTL: a ready entry
@@ -120,8 +116,8 @@ func (c *answerCache) lookupLocked(k answerKey) (*answerEntry, bool) {
 // settleLocked finalizes a filled entry into the LRU order, evicting
 // beyond capacity. c.mu must be held; the caller closes ready after
 // releasing the lock.
-func (c *answerCache) settleLocked(e *answerEntry, mean float64) {
-	e.mean = mean
+func (c *answerCache) settleLocked(e *answerEntry, answers crowd.ValueAnswers) {
+	e.answers = answers
 	e.filled = c.now()
 	e.elem = c.order.PushFront(e)
 	for c.order.Len() > c.cap {
@@ -137,166 +133,99 @@ func (c *answerCache) settleLocked(e *answerEntry, mean float64) {
 // It runs in three phases to stay deadlock-free across sessions that
 // claim overlapping question sets in different orders: (1) classify
 // every question under one lock pass into hit / claim (this session
-// fills) / join (wait on another session's in-flight fill); (2) pay for
-// and settle ALL own claims — closing their ready channels — before (3)
-// waiting on any join. Because every session publishes its claims before
-// it blocks, the cross-session wait graph is acyclic. Joins whose filler
-// failed degrade to a direct uncached purchase.
-func (c *answerCache) resolve(domain string, qs []query.ReuseQuestion, pay func(miss []int) ([]float64, error)) ([]float64, []bool, error) {
-	means := make([]float64, len(qs))
+// fills, replacing a ready prefix too short to serve it) / join (wait on
+// an in-flight fill — another session's, or this call's own claim of a
+// key asked twice); (2) pay for and settle ALL own claims — closing
+// their ready channels — before (3) waiting on any join. Because every
+// session publishes its claims before it blocks, the cross-session wait
+// graph is acyclic. Joins whose fill failed or bought too short a prefix
+// degrade to a direct uncached purchase.
+func (c *answerCache) resolve(domain string, qs []crowd.ObjectValueQuestion, pay payFunc) ([]crowd.ValueAnswers, []bool, error) {
+	out := make([]crowd.ValueAnswers, len(qs))
 	reused := make([]bool, len(qs))
-	var claims []int
-	claimed := make(map[answerKey]int)
-	var joins []int
-	joinEntries := make(map[int]*answerEntry)
+	entries := make([]*answerEntry, len(qs)) // each claim's or join's entry
+	var claims, joins []int
 
 	c.mu.Lock()
 	for i, q := range qs {
-		k := answerKey{domain: domain, attr: q.Attr, object: q.ObjectID, n: q.N}
-		if _, dup := claimed[k]; dup {
-			// Duplicate key within one call: alias the first claim.
-			claims = append(claims, i)
+		k := answerKey{domain: domain, attr: q.Attr, object: q.Object.ID}
+		e, ok := c.lookupLocked(k)
+		switch {
+		case ok && e.elem == nil:
+			c.waits.Add(1)
+			joins = append(joins, i)
+		case ok && adaptive.Serves(e.answers, q):
+			out[i], reused[i] = e.answers, true
+			c.hits.Add(1)
+			c.order.MoveToFront(e.elem)
 			continue
-		}
-		if e, ok := c.lookupLocked(k); ok {
-			select {
-			case <-e.ready:
-				// Ready entries in the map are always successful fills
-				// (failed ones are deleted before ready closes).
-				means[i] = e.mean
-				reused[i] = true
-				c.hits.Add(1)
-				c.order.MoveToFront(e.elem)
-			default:
-				c.waits.Add(1)
-				joins = append(joins, i)
-				joinEntries[i] = e
+		default:
+			if ok { // too short to serve q: this fill replaces it
+				c.order.Remove(e.elem)
 			}
-			continue
+			e = &answerEntry{key: k, ready: make(chan struct{})}
+			c.entries[k] = e
+			c.misses.Add(1)
+			claims = append(claims, i)
 		}
-		e := &answerEntry{key: k, ready: make(chan struct{})}
-		c.entries[k] = e
-		c.misses.Add(1)
-		claims = append(claims, i)
-		claimed[k] = i
+		entries[i] = e
 	}
 	c.mu.Unlock()
 
-	if err := c.fill(domain, qs, claims, means, pay); err != nil {
-		return nil, nil, err
+	if len(claims) > 0 {
+		paid, err := pay(pick(qs, claims))
+		c.mu.Lock()
+		for n, i := range claims {
+			if e := entries[i]; err != nil {
+				e.failed = true
+				delete(c.entries, e.key)
+			} else {
+				out[i] = paid[n]
+				c.settleLocked(e, paid[n])
+			}
+		}
+		c.mu.Unlock()
+		for _, i := range claims {
+			close(entries[i].ready)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// Own claims are settled; joining other sessions' fills cannot cycle.
 	var retry []int
 	for _, i := range joins {
-		e := joinEntries[i]
+		e := entries[i]
 		<-e.ready
-		if e.failed {
+		if e.failed || !adaptive.Serves(e.answers, qs[i]) {
 			retry = append(retry, i)
 			continue
 		}
-		means[i] = e.mean
-		reused[i] = true
+		out[i], reused[i] = e.answers, true
 		c.hits.Add(1)
 	}
 	if len(retry) > 0 {
-		// The filler we joined errored out; buy these directly (uncached —
-		// the filler's error likely persists, so do not trap new waiters).
-		paid, err := pay(retry)
+		// Buy these directly, uncached: a failed filler's error likely
+		// persists, so do not trap new waiters on it.
+		paid, err := pay(pick(qs, retry))
 		if err != nil {
 			return nil, nil, err
 		}
-		for k, i := range retry {
-			means[i] = paid[k]
+		for n, i := range retry {
+			out[i] = paid[n]
 		}
 	}
-	return means, reused, nil
+	return out, reused, nil
 }
 
-// fill pays for the claimed questions and settles their entries. On
-// error every claimed entry is deleted (waiters see failed and retry
-// directly). Duplicate claims of one key are paid once and aliased.
-func (c *answerCache) fill(domain string, qs []query.ReuseQuestion, claims []int, means []float64, pay func(miss []int) ([]float64, error)) error {
-	if len(claims) == 0 {
-		return nil
+// pick returns the questions of qs at the given indices.
+func pick(qs []crowd.ObjectValueQuestion, at []int) []crowd.ObjectValueQuestion {
+	out := make([]crowd.ObjectValueQuestion, len(at))
+	for n, i := range at {
+		out[n] = qs[i]
 	}
-	// Pay each distinct key once, in claim order.
-	var miss []int
-	seen := make(map[answerKey]int, len(claims))
-	for _, i := range claims {
-		k := answerKey{domain: domain, attr: qs[i].Attr, object: qs[i].ObjectID, n: qs[i].N}
-		if _, dup := seen[k]; !dup {
-			seen[k] = i
-			miss = append(miss, i)
-		}
-	}
-	paid, err := pay(miss)
-
-	c.mu.Lock()
-	var settled []*answerEntry
-	for k, i := range miss {
-		key := answerKey{domain: domain, attr: qs[i].Attr, object: qs[i].ObjectID, n: qs[i].N}
-		e := c.entries[key]
-		if err != nil {
-			e.failed = true
-			delete(c.entries, key)
-		} else {
-			means[i] = paid[k]
-			c.settleLocked(e, paid[k])
-		}
-		settled = append(settled, e)
-	}
-	c.mu.Unlock()
-	for _, e := range settled {
-		close(e.ready)
-	}
-	if err != nil {
-		return err
-	}
-	// Alias duplicate claims onto their paid twin.
-	for _, i := range claims {
-		k := answerKey{domain: domain, attr: qs[i].Attr, object: qs[i].ObjectID, n: qs[i].N}
-		if first := seen[k]; first != i {
-			means[i] = means[first]
-		}
-	}
-	return nil
-}
-
-// peek is the non-blocking probe behind AnswerMemo.Peek: ready hits
-// bump recency and count as hits; in-flight fills and absent keys report
-// a miss without blocking or claiming.
-func (c *answerCache) peek(domain string, q query.ReuseQuestion) (float64, bool) {
-	k := answerKey{domain: domain, attr: q.Attr, object: q.ObjectID, n: q.N}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.lookupLocked(k)
-	if !ok || e.elem == nil {
-		c.misses.Add(1)
-		return 0, false
-	}
-	c.hits.Add(1)
-	c.order.MoveToFront(e.elem)
-	return e.mean, true
-}
-
-// publish offers a mean the caller already paid for (a lazy session
-// reaching an attribute's full budget). Existing and in-flight entries
-// are never clobbered — first writer wins, so concurrent publishers and
-// fillers agree (they computed the same deterministic mean anyway).
-func (c *answerCache) publish(domain string, q query.ReuseQuestion, mean float64) {
-	k := answerKey{domain: domain, attr: q.Attr, object: q.ObjectID, n: q.N}
-	c.mu.Lock()
-	if _, ok := c.lookupLocked(k); ok {
-		c.mu.Unlock()
-		return
-	}
-	e := &answerEntry{key: k, ready: make(chan struct{})}
-	close(e.ready)
-	c.entries[k] = e
-	c.settleLocked(e, mean)
-	c.published.Add(1)
-	c.mu.Unlock()
+	return out
 }
 
 // AnswerCacheStats is the answer cache's observability snapshot.
@@ -306,7 +235,6 @@ type AnswerCacheStats struct {
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
 	InflightWaits int64 `json:"inflight_waits"`
-	Published     int64 `json:"published"`
 	Evictions     int64 `json:"evictions"`
 	Expirations   int64 `json:"expirations"`
 }
@@ -321,7 +249,6 @@ func (c *answerCache) stats() AnswerCacheStats {
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		InflightWaits: c.waits.Load(),
-		Published:     c.published.Load(),
 		Evictions:     c.evictions.Load(),
 		Expirations:   c.expirations.Load(),
 	}

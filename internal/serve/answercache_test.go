@@ -9,29 +9,80 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/query"
+	"repro/internal/adaptive"
+	"repro/internal/crowd"
+	"repro/internal/domain"
 )
 
 // acQuestion builds the test's canonical question for an object id.
-func acQuestion(id int) query.ReuseQuestion {
-	return query.ReuseQuestion{ObjectID: id, Attr: "Protein", N: 4}
+func acQuestion(id int) crowd.ObjectValueQuestion {
+	return crowd.ObjectValueQuestion{Object: &domain.Object{ID: id}, Attr: "Protein", N: 4}
 }
 
-// acMean is the deterministic mean the tests expect per object id — the
-// stand-in for the simulator's pure function of the question.
-func acMean(id int) float64 { return float64(id)*10 + 0.5 }
+// acAnswer is answer i of a question's (object, attribute) — the
+// stand-in for the simulator's pure function of the key and the index.
+func acAnswer(q crowd.ObjectValueQuestion, i int) float64 {
+	return float64(q.Object.ID)*100 + float64(len(q.Attr)) + float64(i)/8
+}
+
+// acPrefix is the deterministic answer prefix a purchase of q returns,
+// with workers when q asks for them.
+func acPrefix(q crowd.ObjectValueQuestion) crowd.ValueAnswers {
+	a := crowd.ValueAnswers{Values: make([]float64, q.N)}
+	for i := range a.Values {
+		a.Values[i] = acAnswer(q, i)
+	}
+	if q.Workers {
+		a.Workers = make([]int, q.N)
+	}
+	return a
+}
+
+// acPay buys every question at its deterministic prefix.
+func acPay(qs []crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
+	out := make([]crowd.ValueAnswers, len(qs))
+	for i, q := range qs {
+		out[i] = acPrefix(q)
+	}
+	return out, nil
+}
+
+// acCheck reports whether a is a correct answer set for q: at least N
+// answers, each the key's deterministic value, with workers if asked.
+func acCheck(a crowd.ValueAnswers, q crowd.ObjectValueQuestion) bool {
+	if len(a.Values) < q.N || (q.Workers && len(a.Workers) != len(a.Values)) {
+		return false
+	}
+	for i, v := range a.Values {
+		if v != acAnswer(q, i) {
+			return false
+		}
+	}
+	return true
+}
 
 // acFill resolves one question through the cache with a deterministic
 // pay, failing the test on error.
-func acFill(t *testing.T, c *answerCache, id int) float64 {
+func acFill(t *testing.T, c *answerCache, q crowd.ObjectValueQuestion) crowd.ValueAnswers {
 	t.Helper()
-	means, _, err := c.resolve("d", []query.ReuseQuestion{acQuestion(id)}, func(miss []int) ([]float64, error) {
-		return []float64{acMean(id)}, nil
-	})
+	answers, _, err := c.resolve("d", []crowd.ObjectValueQuestion{q}, acPay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return means[0]
+	return answers[0]
+}
+
+// acLookup reads the ready entry serving q without filling or blocking,
+// bumping its recency like a hit.
+func acLookup(c *answerCache, q crowd.ObjectValueQuestion) (crowd.ValueAnswers, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.lookupLocked(answerKey{domain: "d", attr: q.Attr, object: q.Object.ID})
+	if !ok || e.elem == nil || !adaptive.Serves(e.answers, q) {
+		return crowd.ValueAnswers{}, false
+	}
+	c.order.MoveToFront(e.elem)
+	return e.answers, true
 }
 
 // TestAnswerCacheSingleFlight pins fill coalescing: concurrent resolves
@@ -40,7 +91,7 @@ func acFill(t *testing.T, c *answerCache, id int) float64 {
 // in-flight fill (counting as a hit: they pay nothing).
 func TestAnswerCacheSingleFlight(t *testing.T) {
 	c := newAnswerCache(64, 0, time.Now)
-	qs := []query.ReuseQuestion{acQuestion(1), acQuestion(2)}
+	qs := []crowd.ObjectValueQuestion{acQuestion(1), acQuestion(2)}
 	const workers = 8
 	var payCalls atomic.Int64
 	start := make(chan struct{})
@@ -50,22 +101,18 @@ func TestAnswerCacheSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			means, _, err := c.resolve("d", qs, func(miss []int) ([]float64, error) {
+			answers, _, err := c.resolve("d", qs, func(miss []crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
 				payCalls.Add(1)
 				time.Sleep(time.Millisecond) // widen the join window
-				out := make([]float64, len(miss))
-				for k, i := range miss {
-					out[k] = acMean(qs[i].ObjectID)
-				}
-				return out, nil
+				return acPay(miss)
 			})
 			if err != nil {
 				t.Errorf("resolve: %v", err)
 				return
 			}
 			for i, q := range qs {
-				if means[i] != acMean(q.ObjectID) {
-					t.Errorf("question %d: mean %v, want %v", i, means[i], acMean(q.ObjectID))
+				if !acCheck(answers[i], q) {
+					t.Errorf("question %d: answers %v", i, answers[i])
 				}
 			}
 		}()
@@ -93,21 +140,21 @@ func TestAnswerCacheSingleFlight(t *testing.T) {
 // recently-touched entry survives, the least recently used one goes.
 func TestAnswerCacheLRUEviction(t *testing.T) {
 	c := newAnswerCache(2, 0, time.Now)
-	acFill(t, c, 1)
-	acFill(t, c, 2)
+	acFill(t, c, acQuestion(1))
+	acFill(t, c, acQuestion(2))
 	// Touch 1 so 2 becomes the LRU victim.
-	if _, ok := c.peek("d", acQuestion(1)); !ok {
+	if _, ok := acLookup(c, acQuestion(1)); !ok {
 		t.Fatal("object 1 not cached")
 	}
-	acFill(t, c, 3)
-	if _, ok := c.peek("d", acQuestion(2)); ok {
+	acFill(t, c, acQuestion(3))
+	if _, ok := acLookup(c, acQuestion(2)); ok {
 		t.Fatal("LRU victim 2 survived")
 	}
-	if v, ok := c.peek("d", acQuestion(1)); !ok || v != acMean(1) {
-		t.Fatalf("object 1 = %v,%v after eviction", v, ok)
+	if a, ok := acLookup(c, acQuestion(1)); !ok || !acCheck(a, acQuestion(1)) {
+		t.Fatalf("object 1 = %v,%v after eviction", a, ok)
 	}
-	if v, ok := c.peek("d", acQuestion(3)); !ok || v != acMean(3) {
-		t.Fatalf("object 3 = %v,%v after fill", v, ok)
+	if a, ok := acLookup(c, acQuestion(3)); !ok || !acCheck(a, acQuestion(3)) {
+		t.Fatalf("object 3 = %v,%v after fill", a, ok)
 	}
 	st := c.stats()
 	if st.Evictions != 1 || st.Size != 2 {
@@ -121,23 +168,23 @@ func TestAnswerCacheTTLExpiry(t *testing.T) {
 	var nanos atomic.Int64
 	clock := func() time.Time { return time.Unix(0, nanos.Load()) }
 	c := newAnswerCache(8, time.Minute, clock)
-	acFill(t, c, 1)
+	acFill(t, c, acQuestion(1))
 	nanos.Store(int64(30 * time.Second))
-	if _, ok := c.peek("d", acQuestion(1)); !ok {
+	if _, ok := acLookup(c, acQuestion(1)); !ok {
 		t.Fatal("entry expired before its TTL")
 	}
 	nanos.Store(int64(2 * time.Minute))
-	if _, ok := c.peek("d", acQuestion(1)); ok {
+	if _, ok := acLookup(c, acQuestion(1)); ok {
 		t.Fatal("entry survived past its TTL")
 	}
 	if st := c.stats(); st.Expirations != 1 || st.Size != 0 {
 		t.Fatalf("expirations %d size %d, want 1 and 0", st.Expirations, st.Size)
 	}
 	// The next asker refills and the fresh entry serves again.
-	if v := acFill(t, c, 1); v != acMean(1) {
-		t.Fatalf("refill = %v", v)
+	if a := acFill(t, c, acQuestion(1)); !acCheck(a, acQuestion(1)) {
+		t.Fatalf("refill = %v", a)
 	}
-	if _, ok := c.peek("d", acQuestion(1)); !ok {
+	if _, ok := acLookup(c, acQuestion(1)); !ok {
 		t.Fatal("refilled entry absent")
 	}
 }
@@ -148,12 +195,12 @@ func TestAnswerCacheTTLExpiry(t *testing.T) {
 // askers refill instead of hitting a poisoned key.
 func TestAnswerCacheFailedFillWaiterRetries(t *testing.T) {
 	c := newAnswerCache(64, 0, time.Now)
-	qs := []query.ReuseQuestion{acQuestion(9)}
+	qs := []crowd.ObjectValueQuestion{acQuestion(9)}
 	fillerIn := make(chan struct{})
 	release := make(chan struct{})
 	fillerDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.resolve("d", qs, func([]int) ([]float64, error) {
+		_, _, err := c.resolve("d", qs, func([]crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
 			close(fillerIn)
 			<-release
 			return nil, errors.New("crowd down")
@@ -163,13 +210,11 @@ func TestAnswerCacheFailedFillWaiterRetries(t *testing.T) {
 	<-fillerIn
 
 	waiterDone := make(chan error, 1)
-	var waiterMeans []float64
+	var waiterAnswers []crowd.ValueAnswers
 	var waiterReused []bool
 	go func() {
-		means, reused, err := c.resolve("d", qs, func(miss []int) ([]float64, error) {
-			return []float64{acMean(9)}, nil
-		})
-		waiterMeans, waiterReused = means, reused
+		answers, reused, err := c.resolve("d", qs, acPay)
+		waiterAnswers, waiterReused = answers, reused
 		waiterDone <- err
 	}()
 	// The waiter must have registered as an in-flight join before the
@@ -188,72 +233,79 @@ func TestAnswerCacheFailedFillWaiterRetries(t *testing.T) {
 	if err := <-waiterDone; err != nil {
 		t.Fatalf("waiter failed instead of retrying directly: %v", err)
 	}
-	if waiterMeans[0] != acMean(9) || waiterReused[0] {
-		t.Fatalf("waiter retry: mean %v reused %v", waiterMeans[0], waiterReused[0])
+	if !acCheck(waiterAnswers[0], qs[0]) || waiterReused[0] {
+		t.Fatalf("waiter retry: answers %v reused %v", waiterAnswers[0], waiterReused[0])
 	}
 	// The waiter's retry was uncached and the failed entry is gone, so the
 	// key reads absent until someone refills.
-	if _, ok := c.peek("d", acQuestion(9)); ok {
+	if _, ok := acLookup(c, acQuestion(9)); ok {
 		t.Fatal("failed fill left an entry behind")
 	}
-	if v := acFill(t, c, 9); v != acMean(9) {
-		t.Fatalf("refill after failure = %v", v)
+	if a := acFill(t, c, acQuestion(9)); !acCheck(a, acQuestion(9)) {
+		t.Fatalf("refill after failure = %v", a)
 	}
 }
 
-// TestAnswerCachePublish pins Publish semantics: first writer wins (a
-// later publish of the same key is a no-op, as is publishing over an
-// in-flight fill), and Peek never blocks on an in-flight entry.
-func TestAnswerCachePublish(t *testing.T) {
+// TestAnswerCachePrefix pins the prefix rule: a stored prefix serves
+// every question it holds enough answers for, a longer question pays
+// and replaces the entry, and a prefix without workers does not serve a
+// question that asks for them.
+func TestAnswerCachePrefix(t *testing.T) {
 	c := newAnswerCache(8, 0, time.Now)
-	c.publish("d", acQuestion(1), acMean(1))
-	c.publish("d", acQuestion(1), -99) // must not clobber
-	if v, ok := c.peek("d", acQuestion(1)); !ok || v != acMean(1) {
-		t.Fatalf("published entry = %v,%v", v, ok)
-	}
-	if st := c.stats(); st.Published != 1 {
-		t.Fatalf("published = %d, want 1", st.Published)
-	}
-
-	// In-flight fill: publish is ignored, peek reports a non-blocking
-	// miss, and the filler's value wins.
-	fillerIn := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, _, err := c.resolve("d", []query.ReuseQuestion{acQuestion(2)}, func([]int) ([]float64, error) {
-			close(fillerIn)
-			<-release
-			return []float64{acMean(2)}, nil
-		}); err != nil {
-			t.Errorf("fill: %v", err)
+	ask := func(n int, workers bool) (crowd.ValueAnswers, bool, int) {
+		t.Helper()
+		q := acQuestion(1)
+		q.N, q.Workers = n, workers
+		bought := 0
+		answers, reused, err := c.resolve("d", []crowd.ObjectValueQuestion{q}, func(miss []crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
+			bought += len(miss)
+			return acPay(miss)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	<-fillerIn
-	if _, ok := c.peek("d", acQuestion(2)); ok {
-		t.Fatal("peek returned an in-flight entry")
+		if !acCheck(answers[0], q) {
+			t.Fatalf("N=%d workers=%v: answers %v", n, workers, answers[0])
+		}
+		return answers[0], reused[0], bought
 	}
-	c.publish("d", acQuestion(2), -99)
-	close(release)
-	<-done
-	if v, ok := c.peek("d", acQuestion(2)); !ok || v != acMean(2) {
-		t.Fatalf("filler's value lost to a publish: %v,%v", v, ok)
+	if _, reused, bought := ask(4, false); reused || bought != 1 {
+		t.Fatalf("cold question: reused %v bought %d", reused, bought)
+	}
+	// A shorter question is served the stored prefix.
+	if a, reused, bought := ask(2, false); !reused || bought != 0 || len(a.Values) != 4 {
+		t.Fatalf("shorter question: reused %v bought %d, %d answers", reused, bought, len(a.Values))
+	}
+	// A longer one pays, and its prefix replaces the entry.
+	if _, reused, bought := ask(6, false); reused || bought != 1 {
+		t.Fatalf("longer question: reused %v bought %d", reused, bought)
+	}
+	if a, reused, bought := ask(5, false); !reused || bought != 0 || len(a.Values) != 6 {
+		t.Fatalf("after replacement: reused %v bought %d, %d answers", reused, bought, len(a.Values))
+	}
+	// Without workers stored, a question asking for them pays.
+	if _, reused, bought := ask(3, true); reused || bought != 1 {
+		t.Fatalf("workers question over a worker-less prefix: reused %v bought %d", reused, bought)
+	}
+	if _, reused, bought := ask(3, true); !reused || bought != 0 {
+		t.Fatalf("workers question over a prefix with workers: reused %v bought %d", reused, bought)
+	}
+	if st := c.stats(); st.Size != 1 || st.Misses != 3 || st.Hits != 3 {
+		t.Fatalf("size %d misses %d hits %d, want 1, 3 and 3", st.Size, st.Misses, st.Hits)
 	}
 }
 
 // TestAnswerCacheHammer races 16 goroutines over a small key space with
 // a tiny capacity, an expiring TTL on an advancing fake clock, failing
-// fills, peeks and publishes — every returned mean must still be the
-// key's deterministic value. Run under -race in CI's hammer job.
+// fills, lookups, and questions of different lengths with and without
+// workers, so prefixes keep replacing each other — every returned answer
+// set must still be a correct prefix of the key's deterministic answers.
+// Run under -race in CI's hammer job.
 func TestAnswerCacheHammer(t *testing.T) {
 	var nanos atomic.Int64
 	clock := func() time.Time { return time.Unix(0, nanos.Load()) }
 	c := newAnswerCache(8, 500*time.Nanosecond, clock)
 	attrs := []string{"Protein", "Calories", "Fat"}
-	meanOf := func(q query.ReuseQuestion) float64 {
-		return float64(q.ObjectID)*100 + float64(len(q.Attr)) + float64(q.N)
-	}
 	const (
 		workers = 16
 		iters   = 300
@@ -265,40 +317,41 @@ func TestAnswerCacheHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				nanos.Add(7)
-				q := query.ReuseQuestion{
-					ObjectID: (w + i) % 12,
-					Attr:     attrs[(w*3+i)%len(attrs)],
-					N:        2 + (i % 2),
+				q := crowd.ObjectValueQuestion{
+					Object:  &domain.Object{ID: (w + i) % 12},
+					Attr:    attrs[(w*3+i)%len(attrs)],
+					N:       2 + (i % 2),
+					Workers: (w+i)%5 == 0,
 				}
 				switch i % 4 {
 				case 0, 1:
-					qs := []query.ReuseQuestion{q,
-						{ObjectID: (q.ObjectID + 1) % 12, Attr: q.Attr, N: q.N}}
+					qs := []crowd.ObjectValueQuestion{q,
+						{Object: &domain.Object{ID: (q.Object.ID + 1) % 12}, Attr: q.Attr, N: q.N}}
 					fail := (w+i)%7 == 0
-					means, _, err := c.resolve("d", qs, func(miss []int) ([]float64, error) {
+					answers, _, err := c.resolve("d", qs, func(miss []crowd.ObjectValueQuestion) ([]crowd.ValueAnswers, error) {
 						if fail {
 							return nil, fmt.Errorf("injected fill failure")
 						}
-						out := make([]float64, len(miss))
-						for k, j := range miss {
-							out[k] = meanOf(qs[j])
-						}
-						return out, nil
+						return acPay(miss)
 					})
 					if err != nil {
 						continue // injected, or degraded onto an injected one
 					}
-					for j, got := range means {
-						if want := meanOf(qs[j]); got != want {
-							t.Errorf("resolve %+v = %v, want %v", qs[j], got, want)
+					for j, a := range answers {
+						if !acCheck(a, qs[j]) {
+							t.Errorf("resolve %+v = %v", qs[j], a)
 						}
 					}
 				case 2:
-					if v, ok := c.peek("d", q); ok && v != meanOf(q) {
-						t.Errorf("peek %+v = %v, want %v", q, v, meanOf(q))
+					if a, ok := acLookup(c, q); ok && !acCheck(a, q) {
+						t.Errorf("lookup %+v = %v", q, a)
 					}
 				case 3:
-					c.publish("d", q, meanOf(q))
+					q.N += 2 // a longer question replaces a shorter prefix
+					answers, _, err := c.resolve("d", []crowd.ObjectValueQuestion{q}, acPay)
+					if err != nil || !acCheck(answers[0], q) {
+						t.Errorf("longer resolve %+v: %v", q, err)
+					}
 				}
 			}
 		}(w)

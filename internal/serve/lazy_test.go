@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/query"
@@ -37,24 +36,6 @@ func TestServeLazySessionCounters(t *testing.T) {
 	}
 	if cs.QuestionsSkipped != res.QuestionsSkipped {
 		t.Fatalf("class QuestionsSkipped = %d, result reported %d", cs.QuestionsSkipped, res.QuestionsSkipped)
-	}
-}
-
-// TestServeLazyAdaptiveConflict: a session cannot run both budget
-// reallocation and lazy short-circuiting — the tier rejects the combined
-// request before touching a backend.
-func TestServeLazyAdaptiveConflict(t *testing.T) {
-	tier := newReplicaTier(t, 1, 6, Config{})
-	_, err := tier.Execute(context.Background(), Request{
-		Statement: "SELECT Protein",
-		Adaptive:  true,
-		Lazy:      true,
-	})
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("Adaptive+Lazy error = %v, want mutually-exclusive rejection", err)
-	}
-	if cs := tier.Stats().Classes[DefaultClass]; cs.Errors != 1 {
-		t.Fatalf("Errors = %d, want 1", cs.Errors)
 	}
 }
 

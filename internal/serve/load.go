@@ -44,7 +44,7 @@ type LoadConfig struct {
 	// evaluator (Request.Adaptive).
 	Adaptive bool
 	// Lazy opts every generated session into the lazy predicate-ordered
-	// evaluator (Request.Lazy). Mutually exclusive with Adaptive.
+	// evaluator (Request.Lazy). Composes with Adaptive and Reuse.
 	Lazy bool
 	// Shards sets every generated session's shard-count override
 	// (Request.Shards; 0 = target default).

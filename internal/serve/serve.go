@@ -104,10 +104,11 @@ type Config struct {
 	// Eager sessions are untouched either way.
 	Lazy *query.LazyConfig
 	// AnswerCache bounds the shared answer-reuse cache (entries = cached
-	// fully-budgeted answer means). 0 disables the cache — sessions
-	// requesting ReuseAnswers then run exactly like today's tier.
+	// answer prefixes, one per domain, attribute and object). 0 disables
+	// the cache — sessions requesting ReuseAnswers then run exactly like
+	// today's tier.
 	AnswerCache int
-	// AnswerTTL expires cached answer means this long after their fill
+	// AnswerTTL expires cached answer prefixes this long after their fill
 	// (0 = never). Only meaningful with AnswerCache > 0.
 	AnswerTTL time.Duration
 	// Options tunes preprocessing (zero value = paper configuration).
@@ -143,15 +144,16 @@ type Request struct {
 	Shards int
 	// Lazy opts the session into the lazy predicate-ordered evaluator:
 	// short-circuit filters, confidence-based early decisions and top-k
-	// pruning (query.LazyConfig), tuned by the tier's Config.Lazy.
-	// Mutually exclusive with Adaptive.
+	// pruning (query.LazyConfig), tuned by the tier's Config.Lazy. With
+	// Adaptive too, the survivors' SELECT attributes are settled by the
+	// adaptive evaluator, without its calibration pilot.
 	Lazy bool
 	// ReuseAnswers opts the session into the tier's shared answer cache:
-	// fully-budgeted answer means it pays for are published for other
-	// sessions, and cached means are served instead of re-asking the
-	// crowd — rows stay bit-equal at lower OnlineSpent. Ignored when the
-	// tier has no cache (Config.AnswerCache 0) and by adaptive sessions
-	// (their variable answer counts have no full-budget means to share).
+	// the answer prefixes it buys are stored for other sessions, and
+	// cached prefixes are served instead of re-asking the crowd — a
+	// cache-cold session matches a cache-less one, a warm one returns its
+	// rows at lower OnlineSpent. Composes with Adaptive and Lazy. Ignored
+	// when the tier has no cache (Config.AnswerCache 0).
 	ReuseAnswers bool
 }
 
@@ -441,10 +443,6 @@ func (t *Tier) Execute(ctx context.Context, req Request) (*Result, error) {
 		cm.errors.Add(1)
 		return nil, err
 	}
-	if req.Adaptive && req.Lazy {
-		cm.errors.Add(1)
-		return nil, errors.New("serve: adaptive and lazy modes are mutually exclusive")
-	}
 	objs, err := t.resolveObjects(req)
 	if err != nil {
 		cm.errors.Add(1)
@@ -580,9 +578,8 @@ func (t *Tier) route(key string) int {
 
 // evaluators resolves the online evaluators a session opted into: the
 // adaptive config, the lazy config and the shared answer memo (each nil
-// when off). The memo needs a tier cache and is refused to adaptive
-// sessions, whose variable answer counts never produce the full-budget
-// means the cache keys on.
+// when off; the memo needs a tier cache). They compose: one session may
+// run all three.
 func (t *Tier) evaluators(req Request) (*adaptive.Config, *query.LazyConfig, query.AnswerMemo) {
 	var acfg *adaptive.Config
 	if req.Adaptive {
@@ -600,10 +597,9 @@ func (t *Tier) evaluators(req Request) (*adaptive.Config, *query.LazyConfig, que
 }
 
 // reuseOn reports whether a session runs against the shared answer
-// cache: it must opt in, the tier must have one, and it must not be
-// adaptive.
+// cache: it must opt in and the tier must have one.
 func (t *Tier) reuseOn(req Request) bool {
-	return req.ReuseAnswers && t.answers != nil && !req.Adaptive
+	return req.ReuseAnswers && t.answers != nil
 }
 
 // record reports an evaluated session's stats record on its result and
